@@ -12,24 +12,30 @@ covering until the estimated protected fraction of bridge ends reaches
 ``alpha`` (LCRB-P), raising :class:`~repro.errors.SelectionError` when
 the sketches run dry first.
 
+Each node's exact current gain lives in an array, seeded from the
+store's postings row lengths and decremented for every member of each
+set a pick newly covers, so a heap pop reads a gain in O(1).
+
 The pass is a pure function of the store's arrays and its arguments —
 no RNG — so two stores with bit-identical arrays yield bit-identical
-picks (ties break by ascending node id). That determinism is what the
-serve layer's concurrency tests lean on.
+picks. That determinism is what the serve layer's concurrency tests
+lean on. Ties do **not** break by ascending node id. The heap is keyed
+``(-bound, node)``, so among equal bounds the smaller id pops first, and
+a popped node is taken as soon as its exact gain reaches the next
+entry's bound, which may be stale. With sets ``{1,2}, {1}, {0}, {0},
+{2}, {2}, {1}, {2}``, ``budget=2`` picks 2, then pops 1 on its stale
+bound of 3; its exact gain of 2 ties node 0's bound of 2, so the pass
+returns ``[2, 1]``, not ``[2, 0]``.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import SelectionError
 from repro.obs.registry import metrics
-
-try:  # pragma: no cover - exercised by the no-NumPy CI job
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
 
 __all__ = ["max_coverage", "protected_fraction"]
 
@@ -73,25 +79,29 @@ def max_coverage(
             below the ``alpha`` target.
     """
     excluded_set = set(excluded)
-    covered = bytearray(store.set_count)
+    indptr, set_ids, members, offsets, np_mod = store.postings_index()
+    # gains[node]: the number of not-yet-covered sets containing node.
+    if np_mod is not None:
+        covered = np_mod.zeros(store.set_count, dtype=np_mod.bool_)
+        gains = np_mod.diff(indptr)
+    else:
+        covered = bytearray(store.set_count)
+        gains = array(
+            "q", [indptr[node + 1] - indptr[node] for node in range(len(indptr) - 1)]
+        )
+    # Reads the int64 cells as Python ints (no NumPy scalar per pop) and
+    # sees the in-place updates below.
+    gain_of = memoryview(gains)
     covered_total = 0
-    # NumPy view sharing the bytearray's memory: writes through either
-    # side are visible to the other, so `covered[postings]` masking and
-    # the scalar fallback stay interchangeable mid-pass.
-    covered_np = None
-    if _np is not None:
-        covered_np = _np.frombuffer(covered, dtype=_np.uint8)
 
-    # Heap of (-gain, node); gains are exact set counts, so a lazy
-    # re-evaluation that stays on top is provably the argmax. Node-id
-    # order breaks ties deterministically.
-    heap: List[Tuple[int, int]] = []
-    for node in store.nodes():
-        if node in excluded_set:
-            continue
-        count = len(store.sets_containing(node))
-        if count:
-            heap.append((-count, node))
+    # Heap of (-bound, node); a bound is a gain from when the node was
+    # last pushed. Gains only fall, so a popped node whose exact gain
+    # still reaches the next bound is the true argmax.
+    heap: List[Tuple[int, int]] = [
+        (-gain_of[node], node)
+        for node in store.nodes()
+        if node not in excluded_set
+    ]
     heapq.heapify(heap)
 
     # Coverage-gain queries play the role σ̂ evaluations play in the
@@ -101,6 +111,7 @@ def max_coverage(
     reevaluations = 0
 
     picked: List[int] = []
+    node: Optional[int] = None
 
     def done() -> bool:
         if budget is not None:
@@ -109,18 +120,9 @@ def max_coverage(
 
     while not done():
         gain = 0
-        postings: Iterable[int] = ()
         while heap:
-            negative, node = heapq.heappop(heap)
-            # Bind the postings once per pop: the recount below and the
-            # cover loop after a winning pop reuse the same slice.
-            postings = store.sets_containing(node)
-            if covered_np is not None and isinstance(postings, _np.ndarray):
-                gain = int(len(postings) - covered_np[postings].sum())
-            else:
-                gain = sum(
-                    1 for set_id in postings if not covered[set_id]
-                )
+            _, node = heapq.heappop(heap)
+            gain = gain_of[node]
             sigma_evaluations += 1
             if not heap or gain >= -heap[0][0]:
                 queue_hits += 1
@@ -139,15 +141,26 @@ def max_coverage(
                 )
             break  # nothing left worth adding; return a short set
         picked.append(node)
-        if covered_np is not None and isinstance(postings, _np.ndarray):
-            newly = postings[covered_np[postings] == 0]
-            covered_np[newly] = 1
-            covered_total += int(len(newly))
+        postings = set_ids[indptr[node] : indptr[node + 1]]
+        if np_mod is not None:
+            newly = postings[~covered[postings]]
+            covered[newly] = True
+            covered_total += len(newly)
+            # Members of the newly covered sets, gathered as one flat
+            # run of positions into the set -> members column.
+            starts = offsets[newly]
+            lengths = offsets[newly + 1] - starts
+            positions = np_mod.repeat(
+                starts - (np_mod.cumsum(lengths) - lengths), lengths
+            ) + np_mod.arange(lengths.sum())
+            gains -= np_mod.bincount(members[positions], minlength=len(gains))
         else:
             for set_id in postings:
                 if not covered[set_id]:
                     covered[set_id] = 1
                     covered_total += 1
+                    for member in members[offsets[set_id] : offsets[set_id + 1]]:
+                        gains[member] -= 1
     registry = metrics()
     if registry.enabled:
         registry.counter("selector.sigma_evaluations").add(sigma_evaluations)

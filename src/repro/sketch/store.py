@@ -5,8 +5,8 @@ A :class:`SketchStore` owns the RR sets produced by a
 needs fast:
 
 * **membership** — which RR sets contain node ``u`` (the inverted
-  ``node -> set ids`` index; lazy-greedy max coverage is heap pops over
-  these lists), and
+  ``node -> set ids`` index; its row lengths seed the gains of
+  lazy-greedy max coverage), and
 * **coverage** — how many sets (per world) a candidate protector set
   intersects, which is the σ̂ estimate.
 
@@ -58,13 +58,32 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.obs.registry import metrics
 from repro.utils.validation import check_fraction, check_positive
 
-__all__ = ["SketchStore"]
+__all__ = ["PostingsIndex", "SketchStore"]
+
+
+class PostingsIndex(NamedTuple):
+    """The store's CSR tables, both directions (see
+    :meth:`SketchStore.postings_index`).
+
+    ``set_ids[indptr[node]:indptr[node + 1]]`` are the RR sets
+    containing ``node``, ascending; ``members[offsets[set_id]:
+    offsets[set_id + 1]]`` are the members of one set. With NumPy every
+    column is an ndarray (int64 ``indptr``/``offsets``, int32
+    ``set_ids``/``members``) and ``np`` is the module; without it the
+    columns are machine arrays and ``np`` is ``None``.
+    """
+
+    indptr: Any
+    set_ids: Any
+    members: Any
+    offsets: Any
+    np: Any
 
 
 def _sampler_worker_setup(graph, payload):
@@ -155,8 +174,8 @@ class SketchStore:
         self._world_of = array("i")  # world index each set belongs to
         self._sets_per_world = array("i")
         self._node_ids: set = set()  # node ids appearing in any RR set
-        # Lazily built CSR postings table: (indptr, set_ids, np module or
-        # None). Invalidated whenever the set arrays grow or reset.
+        # Lazily built PostingsIndex; invalidated whenever the set arrays
+        # grow or reset.
         self._postings = None
         self._world_np = None  # numpy copy of _world_of, same lifetime
         # per-world dependency footprint (frozenset of node ids, or None
@@ -170,7 +189,9 @@ class SketchStore:
         check_positive(count, "count")
         if not self.sampler.stochastic:
             count = min(count, 1)  # a deterministic sampler has one world
-        if count > self.worlds > 0:
+        if count <= self.worlds:
+            return self
+        if self.worlds:
             metrics().inc("sketch.store_doublings")
         for world in self._sample_range(range(self.worlds, count)):
             self._append_world(world)
@@ -456,15 +477,16 @@ class SketchStore:
         """The world index RR set ``set_id`` belongs to."""
         return self._world_of[set_id]
 
-    def _node_postings(self):
-        """The CSR postings table ``(indptr, set_ids, np_module_or_None)``.
+    def postings_index(self):
+        """The store's :class:`PostingsIndex`: ``node -> set ids`` postings
+        plus the ``set -> members`` columns they were inverted from.
 
-        ``set_ids[indptr[node]:indptr[node + 1]]`` are the ids of the RR
-        sets containing ``node``, ascending. Built lazily — vectorized
-        with NumPy when importable, by counting sort otherwise — and
-        rebuilt from scratch after any append (appends batch, queries
-        dominate). The arrays are *copies* of the member storage, so the
-        store's own arrays stay free to grow.
+        Built lazily — vectorized with NumPy when importable, by counting
+        sort otherwise — and rebuilt from scratch after any append
+        (appends batch, queries dominate). The NumPy columns are *copies*
+        of the member storage, so the store's own arrays stay free to
+        grow; without NumPy, ``members``/``offsets`` are the store's own
+        columns.
         """
         cached = self._postings
         if cached is not None:
@@ -476,9 +498,10 @@ class SketchStore:
         top = (max(self._node_ids) + 1) if self._node_ids else 0
         if np_mod is not None:
             members = np_mod.array(self._members, dtype=np_mod.int32)
-            counts = np_mod.diff(np_mod.array(self._offsets, dtype=np_mod.int64))
+            offsets = np_mod.array(self._offsets, dtype=np_mod.int64)
             set_ids = np_mod.repeat(
-                np_mod.arange(len(self._roots), dtype=np_mod.int32), counts
+                np_mod.arange(len(self._roots), dtype=np_mod.int32),
+                np_mod.diff(offsets),
             )
             # Stable sort by node: within one node the original order —
             # and therefore the set ids — stay ascending.
@@ -489,7 +512,7 @@ class SketchStore:
                 np_mod.cumsum(
                     np_mod.bincount(members, minlength=top), out=indptr[1:]
                 )
-            self._postings = (indptr, postings, np_mod)
+            self._postings = PostingsIndex(indptr, postings, members, offsets, np_mod)
             return self._postings
         counts_list = [0] * top
         for node in self._members:
@@ -504,7 +527,9 @@ class SketchStore:
                 node = self._members[position]
                 postings_arr[cursor[node]] = set_id
                 cursor[node] += 1
-        self._postings = (indptr_arr, postings_arr, None)
+        self._postings = PostingsIndex(
+            indptr_arr, postings_arr, self._members, self._offsets, None
+        )
         return self._postings
 
     def sets_containing(self, node: int) -> Sequence[int]:
@@ -514,7 +539,7 @@ class SketchStore:
         machine array depending on availability), suitable for direct
         ``covered[ids]`` masking.
         """
-        indptr, postings, _np_mod = self._node_postings()
+        indptr, postings = self.postings_index()[:2]
         if 0 <= node < len(indptr) - 1:
             return postings[indptr[node] : indptr[node + 1]]
         return postings[:0]
@@ -527,7 +552,8 @@ class SketchStore:
 
     def _covered_set_ids(self, node_ids: Iterable[int]):
         """Distinct covered set ids: NumPy array, or a Python set."""
-        indptr, postings, np_mod = self._node_postings()
+        index = self.postings_index()
+        indptr, postings, np_mod = index.indptr, index.set_ids, index.np
         if np_mod is None:
             covered = set()
             for node in node_ids:
@@ -555,7 +581,7 @@ class SketchStore:
             for set_id in covered:
                 counts[self._world_of[set_id]] += 1
             return counts
-        np_mod = self._node_postings()[2]
+        np_mod = self.postings_index().np
         if self._world_np is None:
             self._world_np = np_mod.array(self._world_of, dtype=np_mod.int32)
         return np_mod.bincount(

@@ -12,8 +12,10 @@ import pytest
 
 from repro.errors import NodeNotFoundError, SeedError, ValidationError
 from repro.graph.generators import planted_partition
+from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
 from repro.serve import RumorBlockingService
+from repro.sketch import kernels
 
 
 def build_network(seed: int = 5):
@@ -52,6 +54,31 @@ class TestWarmReuse:
         assert second["blockers"] == first["blockers"]
         assert second["sigma"] == first["sigma"]
         assert second["worlds"] == first["worlds"]
+
+    def test_warm_query_never_enters_the_sampler(self, monkeypatch):
+        """A store already holding the worlds asked for returns at once:
+        no kernel call (not even an empty one), and only real growth
+        counts as a doubling."""
+        calls = []
+        sample_worlds = kernels.sample_worlds
+
+        def counting(sampler, indices, backend=None):
+            calls.append(list(indices))
+            return sample_worlds(sampler, indices, backend=backend)
+
+        monkeypatch.setattr(kernels, "sample_worlds", counting)
+        service, community = build_service()
+        # ε this tight is never met, so the cold query grows to max_worlds.
+        query = dict(QUERY, epsilon=0.01)
+        with use_registry(MetricsRegistry()) as registry:
+            cold = service.query(community[:2], **query)
+            cold_calls = list(calls)
+            assert registry.counter_values()["sketch.store_doublings"] == 1
+            warm = service.query(community[:2], **query)
+            assert registry.counter_values()["sketch.store_doublings"] == 1
+        assert cold["worlds"] == warm["worlds"] == 32
+        assert cold_calls == [list(range(16)), list(range(16, 32))]
+        assert calls == cold_calls
 
     def test_seed_key_normalises_order_and_duplicates(self):
         service, community = build_service()
