@@ -13,6 +13,7 @@ two-worker bit-identity, checkpoint/resume identity), so a perf pass
 doubles as a correctness pass.
 """
 
+from repro.exec.pool import ParallelExecutor
 from repro.gossip import GossipConfig, GossipMonteCarlo
 from repro.graph.digraph import DiGraph
 from repro.rng import RngStream
@@ -62,31 +63,35 @@ def test_gossip(bench_metrics, tmp_path):
     aggregates = {}
     with bench_metrics.collect():
         for name, config in configs.items():
-            runner = GossipMonteCarlo(config, runs=REPLICAS, processes=2)
-            aggregates[name] = runner.run(
-                graph,
-                rumors,
-                protectors,
-                rng=RngStream(31, name=f"bench-gossip-{name}"),
-            )
+            # One pool per protocol leg: the gated exec.* counters
+            # count one pool and one publication per leg.
+            with ParallelExecutor(2) as executor:
+                runner = GossipMonteCarlo(config, runs=REPLICAS, executor=executor)
+                aggregates[name] = runner.run(
+                    graph,
+                    rumors,
+                    protectors,
+                    rng=RngStream(31, name=f"bench-gossip-{name}"),
+                )
 
     # Contract checks outside collect(): they re-run replicas and must
     # not inflate the gated counters.
     for name, config in configs.items():
-        serial = GossipMonteCarlo(config, runs=REPLICAS, processes=1)
+        serial = GossipMonteCarlo(config, runs=REPLICAS)
         _, serial_records = serial.run_detailed(
             graph,
             rumors,
             protectors,
             rng=RngStream(31, name=f"bench-gossip-{name}"),
         )
-        parallel = GossipMonteCarlo(config, runs=REPLICAS, processes=2)
-        _, parallel_records = parallel.run_detailed(
-            graph,
-            rumors,
-            protectors,
-            rng=RngStream(31, name=f"bench-gossip-{name}"),
-        )
+        with ParallelExecutor(2) as executor:
+            parallel = GossipMonteCarlo(config, runs=REPLICAS, executor=executor)
+            _, parallel_records = parallel.run_detailed(
+                graph,
+                rumors,
+                protectors,
+                rng=RngStream(31, name=f"bench-gossip-{name}"),
+            )
         assert serial_records == parallel_records
         agg = aggregates[name]
         assert agg.replicas == REPLICAS
@@ -95,20 +100,19 @@ def test_gossip(bench_metrics, tmp_path):
     # Checkpoint/resume identity on the push leg.
     config = configs["push"]
     checkpoint = tmp_path / "gossip.ckpt"
-    GossipMonteCarlo(
-        config, runs=REPLICAS // 2, processes=1, checkpoint=checkpoint
-    ).run(graph, rumors, protectors, rng=RngStream(31, name="bench-gossip-push"))
+    GossipMonteCarlo(config, runs=REPLICAS // 2, checkpoint=checkpoint).run(
+        graph, rumors, protectors, rng=RngStream(31, name="bench-gossip-push")
+    )
     from repro.exec.checkpoint import CheckpointStore
 
     resumed, resumed_records = GossipMonteCarlo(
         config,
         runs=REPLICAS,
-        processes=1,
         checkpoint=CheckpointStore(checkpoint, resume=True),
     ).run_detailed(
         graph, rumors, protectors, rng=RngStream(31, name="bench-gossip-push")
     )
-    full = GossipMonteCarlo(config, runs=REPLICAS, processes=1)
+    full = GossipMonteCarlo(config, runs=REPLICAS)
     _, full_records = full.run_detailed(
         graph, rumors, protectors, rng=RngStream(31, name="bench-gossip-push")
     )

@@ -79,7 +79,7 @@ def instance():
     return context, candidates[:CANDIDATES]
 
 
-def make_evaluator(context, workers=None, executor=None):
+def make_evaluator(context, executor=None):
     return BatchedSigmaEvaluator(
         context,
         model=OPOAOModel(),
@@ -87,7 +87,6 @@ def make_evaluator(context, workers=None, executor=None):
         max_hops=MAX_HOPS,
         rng=RngStream(13, name="parallel-sigma"),
         backend="python",
-        workers=workers,
         executor=executor,
     )
 
@@ -147,7 +146,6 @@ def test_parallel_sigma_throughput(instance, bench_metrics):
                 OPOAOModel(),
                 runs=REPLICAS,
                 max_hops=MAX_HOPS,
-                processes=GATE_WORKERS,
                 executor=gate_executor,
             )
             aggregate = simulator.simulate(

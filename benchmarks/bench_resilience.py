@@ -76,23 +76,24 @@ def test_resilience(bench_metrics, tmp_path):
     ).to_indexed()
     seeds = SeedSets(rumors=[0])
 
-    def simulator(runs, checkpoint=None):
+    def simulator(executor, runs, checkpoint=None):
         return ParallelMonteCarloSimulator(
             OPOAOModel(),
             runs=runs,
             max_hops=8,
-            processes=2,
             checkpoint=checkpoint,
             checkpoint_every=4,
+            executor=executor,
         )
 
-    uninterrupted = simulator(REPLICAS).simulate(
-        graph, seeds, rng=RngStream(17, name="resilience-mc")
-    )
     checkpoint = tmp_path / "bench.ckpt"
-    simulator(REPLICAS // 2, checkpoint).simulate(
-        graph, seeds, rng=RngStream(17, name="resilience-mc")
-    )
+    with ParallelExecutor(2) as executor:
+        uninterrupted = simulator(executor, REPLICAS).simulate(
+            graph, seeds, rng=RngStream(17, name="resilience-mc")
+        )
+        simulator(executor, REPLICAS // 2, checkpoint).simulate(
+            graph, seeds, rng=RngStream(17, name="resilience-mc")
+        )
 
     with bench_metrics.collect():
         # Injected transient raise: one deterministic retry, no timeout.
@@ -101,10 +102,12 @@ def test_resilience(bench_metrics, tmp_path):
         survived = run_scenario("kill@0", timeout=KILL_TIMEOUT)
         # Persistent hang: retry budget spent, chunk degrades to inline.
         degraded = run_scenario("hang@0x2:30", timeout=HANG_TIMEOUT, retries=1)
-        # Resume the interrupted sweep out to the full replica count.
-        resumed = simulator(REPLICAS, checkpoint).simulate(
-            graph, seeds, rng=RngStream(17, name="resilience-mc")
-        )
+        # Resume the interrupted sweep out to the full replica count, on
+        # a fresh pool so its creation and publication are counted.
+        with ParallelExecutor(2) as executor:
+            resumed = simulator(executor, REPLICAS, checkpoint).simulate(
+                graph, seeds, rng=RngStream(17, name="resilience-mc")
+            )
 
     assert retried == survived == degraded == serial
     assert resumed.infected_per_hop == uninterrupted.infected_per_hop

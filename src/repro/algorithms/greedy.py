@@ -196,22 +196,16 @@ class GreedySelector(ProtectorSelector):
         world_source: world sampler for the batched estimator —
             ``"native"`` (fastest) or ``"shared"`` (bit-identical across
             backends). Ignored when ``backend`` is ``None``.
-        workers: worker request for parallel σ̂ rounds (``None``/``1``
-            serial, ``0`` one per CPU). Only the batched estimator can
-            fan out, so this needs ``backend``; selections are
-            bit-identical whatever the worker count.
-        chunk_timeout: per-chunk pool deadline in seconds for parallel
-            σ̂ rounds (``None`` waits forever; see ``docs/parallel.md``).
-        chunk_retries: deterministic resubmission budget per failed
-            chunk (``None`` uses the executor default).
         checkpoint: a path or :class:`~repro.exec.checkpoint.\
             CheckpointStore`; when set, every completed selection round
             is saved, and a matching checkpoint resumes from its chosen
             prefix — finishing bit-identical to an uninterrupted run.
-        executor: a shared :class:`~repro.exec.pool.ParallelExecutor`
-            handed down to the batched estimator so σ̂ rounds reuse one
-            warm pool (e.g. the CLI-owned pool); ``None`` lets the
-            estimator own its executor.
+        executor: a :class:`~repro.exec.pool.ParallelExecutor` handed
+            down to the batched estimator so σ̂ rounds fan out over one
+            warm pool (e.g. the CLI-owned pool). Only the batched
+            estimator can fan out, so this needs ``backend``; selections
+            are bit-identical whatever the worker count. ``None`` runs
+            serially.
     """
 
     name = "Greedy"
@@ -227,9 +221,6 @@ class GreedySelector(ProtectorSelector):
         rng: Optional[RngStream] = None,
         backend: Optional[str] = None,
         world_source: str = "native",
-        workers: Optional[int] = None,
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
         checkpoint=None,
         executor=None,
     ) -> None:
@@ -244,9 +235,6 @@ class GreedySelector(ProtectorSelector):
         self.rng = rng or RngStream(name="greedy")
         self.backend = backend
         self.world_source = world_source
-        self.workers = workers
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self.checkpoint = checkpoint
         self.executor = executor
         #: σ̂ evaluations consumed by the most recent select() call — the
@@ -275,9 +263,6 @@ class GreedySelector(ProtectorSelector):
                 rng=self.rng.fork("sigma"),
                 backend=self.backend,
                 world_source=self.world_source,
-                workers=self.workers,
-                chunk_timeout=self.chunk_timeout,
-                chunk_retries=self.chunk_retries,
                 executor=self.executor,
             )
         return SigmaEstimator(

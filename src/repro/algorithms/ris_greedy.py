@@ -65,22 +65,15 @@ BatchedSigmaEvaluator`) and records the achieved protected fraction in
             :attr:`last_kernel_protected_fraction` and the
             ``ris.kernel_protected_fraction`` gauge.
         verify_runs: coupled worlds for the verification estimate.
-        workers: worker request for parallel RR-set sampling (``None``/
-            ``1`` serial, ``0`` one per CPU); forwarded to the
-            :class:`~repro.sketch.store.SketchStore` so every doubling
-            round fans out. Selections are bit-identical regardless.
-        chunk_timeout: per-chunk pool deadline in seconds for parallel
-            sampling (``None`` waits forever; see ``docs/parallel.md``).
-        chunk_retries: deterministic resubmission budget per failed
-            chunk (``None`` uses the executor default).
         checkpoint: a path or :class:`~repro.exec.checkpoint.\
             CheckpointStore`; when set, the store's sampled worlds are
             saved after every growth round, and a matching checkpoint
             restores them — worlds are pure functions of their index, so
             the restored arrays are bit-identical to resampling.
-        executor: a shared :class:`~repro.exec.pool.ParallelExecutor`
-            handed down to every sketch store so doubling rounds reuse
-            one warm pool; ``None`` lets each store own its executor.
+        executor: a :class:`~repro.exec.pool.ParallelExecutor` handed
+            down to every :class:`~repro.sketch.store.SketchStore` so
+            doubling rounds fan out over one warm pool. Selections are
+            bit-identical regardless. ``None`` runs serially.
         backend: sketch-kernel backend for RR-set sampling (``"numpy"``,
             ``"python"``, or ``None``/``"auto"`` for the fastest
             available) — forwarded to the store; bit-identical either
@@ -101,9 +94,6 @@ BatchedSigmaEvaluator`) and records the achieved protected fraction in
         rng: Optional[RngStream] = None,
         verify_backend: Optional[str] = None,
         verify_runs: int = 64,
-        workers: Optional[int] = None,
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
         checkpoint=None,
         executor=None,
         backend: Optional[str] = None,
@@ -118,9 +108,6 @@ BatchedSigmaEvaluator`) and records the achieved protected fraction in
         self.rng = rng or RngStream(name="ris-greedy")
         self.verify_backend = verify_backend
         self.verify_runs = int(check_positive(verify_runs, "verify_runs"))
-        self.workers = workers
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self.checkpoint = checkpoint
         self.executor = executor
         self.backend = backend
@@ -148,14 +135,7 @@ BatchedSigmaEvaluator`) and records the achieved protected fraction in
         sampler = sampler_for(
             self.semantics, context, steps=self.steps, rng=self.rng.fork("worlds")
         )
-        store = SketchStore(
-            sampler,
-            workers=self.workers,
-            chunk_timeout=self.chunk_timeout,
-            chunk_retries=self.chunk_retries,
-            executor=self.executor,
-            backend=self.backend,
-        )
+        store = SketchStore(sampler, executor=self.executor, backend=self.backend)
         self._stores[key] = (context, store)
         return store
 

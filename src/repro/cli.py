@@ -119,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             metavar="SECONDS",
-            help="per-chunk deadline for pool work; a chunk that misses it "
-            "is retried deterministically (default: wait forever)",
+            help="per-chunk deadline for pool work (needs --workers); a "
+            "chunk that misses it is retried deterministically (default: "
+            "wait forever)",
         )
         p.add_argument(
             "--chunk-retries",
@@ -128,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="K",
             help="resubmissions per failed chunk before degrading to "
-            "inline execution (default: 2); see docs/parallel.md",
+            "inline execution (needs --workers; default: 2); see "
+            "docs/parallel.md",
         )
 
     def add_checkpoint_args(p: argparse.ArgumentParser) -> None:
@@ -535,9 +537,6 @@ def _selector(name: str, rng: RngStream, args=None, checkpoint=None):
             delta=getattr(args, "delta", 0.05),
             rng=rng.fork("ris-greedy"),
             verify_backend=getattr(args, "backend", None),
-            workers=getattr(args, "workers", None),
-            chunk_timeout=getattr(args, "chunk_timeout", None),
-            chunk_retries=getattr(args, "chunk_retries", None),
             checkpoint=checkpoint,
             executor=getattr(args, "executor", None),
             backend=getattr(args, "backend", None),
@@ -552,9 +551,6 @@ def _selector(name: str, rng: RngStream, args=None, checkpoint=None):
             max_candidates=150,
             rng=rng.fork("greedy"),
             backend=getattr(args, "backend", None),
-            workers=getattr(args, "workers", None),
-            chunk_timeout=getattr(args, "chunk_timeout", None),
-            chunk_retries=getattr(args, "chunk_retries", None),
             checkpoint=checkpoint,
             executor=getattr(args, "executor", None),
         )
@@ -675,10 +671,7 @@ def _cmd_simulate(args) -> int:
             max_hops=args.hops,
             rng=rng.fork("eval"),
             backend=args.backend,
-            workers=args.workers,
             checkpoint=checkpoint,
-            chunk_timeout=args.chunk_timeout,
-            chunk_retries=args.chunk_retries,
             executor=getattr(args, "executor", None),
         )
     print(
@@ -791,7 +784,6 @@ def _bench_sigma(args, context, model, rng: RngStream) -> int:
         from repro.exec.pool import resolve_workers
 
         worker_count = resolve_workers(args.workers, evaluations)
-        evaluator.workers = worker_count
         parallel_timer = Timer("bench-sigma-parallel")
         with parallel_timer:
             with metrics().timer("stage.bench.parallel"):
@@ -851,7 +843,6 @@ def _cmd_bench(args) -> int:
             model,
             runs=args.runs,
             max_hops=args.hops,
-            processes=worker_count,
             executor=getattr(args, "executor", None),
         )
         parallel_timer = Timer("bench-parallel")
@@ -962,9 +953,6 @@ def _cmd_gossip(args) -> int:
             config,
             runs=args.runs,
             budget=args.protectors,
-            processes=args.workers,
-            chunk_timeout=args.chunk_timeout,
-            chunk_retries=args.chunk_retries,
             checkpoint=checkpoint,
             executor=getattr(args, "executor", None),
         )
@@ -986,9 +974,6 @@ def _cmd_gossip(args) -> int:
     runner = GossipMonteCarlo(
         config,
         runs=args.runs,
-        processes=args.workers,
-        chunk_timeout=args.chunk_timeout,
-        chunk_retries=args.chunk_retries,
         checkpoint=checkpoint,
         executor=getattr(args, "executor", None),
     )
@@ -1135,7 +1120,6 @@ def _cmd_serve(args) -> int:
         initial_worlds=args.initial_worlds,
         max_worlds=args.max_worlds,
         invalidation=args.invalidation,
-        workers=args.workers,
         executor=getattr(args, "executor", None),
         backend=getattr(args, "backend", None),
     )
@@ -1187,7 +1171,7 @@ ParallelExecutor` is built up front and stashed on ``args.executor``;
     every parallel consumer the command touches (selection, evaluation,
     benchmarks, gossip) submits to it, so one invocation creates exactly
     one pool and one graph publication. Without ``--workers`` the
-    attribute is ``None`` and consumers fall back to their own settings.
+    attribute is ``None`` and every consumer runs serially.
     """
     workers = getattr(args, "workers", None)
     if workers is None:
@@ -1208,6 +1192,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", None) is None:
+        for flag, value in (
+            ("--chunk-timeout", getattr(args, "chunk_timeout", None)),
+            ("--chunk-retries", getattr(args, "chunk_retries", None)),
+        ):
+            if value is not None:
+                parser.error(f"{flag} needs --workers")
     configure_logging(args.verbose)
     command = _COMMANDS[args.command]
     metrics_path = getattr(args, "metrics_out", None)

@@ -18,7 +18,7 @@ the serial simulator does.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.diffusion.base import (
     DEFAULT_MAX_HOPS,
@@ -142,23 +142,16 @@ class ParallelMonteCarloSimulator:
         model: any diffusion model.
         runs: replica count (stochastic models).
         max_hops: horizon per run.
-        processes: worker count; default = CPU count, capped at ``runs``.
-        share: graph publication mode for the pool (see
-            :func:`repro.exec.shm.publish_graph`).
-        chunk_timeout: per-chunk pool deadline in seconds (``None``
-            waits forever; see ``docs/parallel.md``).
-        chunk_retries: deterministic resubmission budget per failed
-            chunk (``None`` uses the executor default).
         checkpoint: a path or :class:`~repro.exec.checkpoint.\
             CheckpointStore`; when set, completed replica batches are
             saved and a matching checkpoint resumes after its prefix —
             replica ``i`` always runs on ``rng.replica(i)``, so the
             resumed aggregate is bit-identical to an uninterrupted run.
         checkpoint_every: replicas per checkpointed batch.
-        executor: a shared :class:`~repro.exec.pool.ParallelExecutor`
-            (its knobs then govern); ``None`` lazily builds a
-            simulator-owned one — either way every checkpoint batch of
-            every :meth:`simulate` call reuses the same warm pool.
+        executor: the :class:`~repro.exec.pool.ParallelExecutor` whose
+            warm pool every checkpoint batch of every :meth:`simulate`
+            call reuses. ``None`` runs serially, through an inline
+            executor.
 
     Note:
         The callback-per-outcome hook of the serial simulator is not
@@ -172,10 +165,6 @@ class ParallelMonteCarloSimulator:
         model: DiffusionModel,
         runs: int = 200,
         max_hops: int = DEFAULT_MAX_HOPS,
-        processes: Optional[int] = None,
-        share: str = "auto",
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
         checkpoint=None,
         checkpoint_every: int = 64,
         executor: Optional[ParallelExecutor] = None,
@@ -183,17 +172,11 @@ class ParallelMonteCarloSimulator:
         self.model = model
         self.runs = int(check_positive(runs, "runs"))
         self.max_hops = int(check_positive(max_hops, "max_hops"))
-        if processes is not None:
-            processes = int(check_positive(processes, "processes"))
-        self.processes = processes
-        self.share = share
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self.checkpoint = checkpoint
         self.checkpoint_every = int(
             check_positive(checkpoint_every, "checkpoint_every")
         )
-        self._executor = executor
+        self._executor = executor if executor is not None else ParallelExecutor()
 
     def simulate(
         self,
@@ -233,17 +216,6 @@ class ParallelMonteCarloSimulator:
             raise ValueError(f"{self.model.name} is stochastic and needs an RngStream")
 
         registry = metrics()
-        if self._executor is None:
-            workers: Union[int, str] = (
-                self.processes if self.processes is not None else "auto"
-            )
-            self._executor = ParallelExecutor(
-                workers,
-                share=self.share,
-                timeout=self.chunk_timeout,
-                retries=self.chunk_retries,
-            )
-        executor = self._executor
         payload = {
             "model": self.model,
             "seeds": seeds,
@@ -275,7 +247,7 @@ class ParallelMonteCarloSimulator:
                     else min(self.runs, start + self.checkpoint_every)
                 )
                 indices = list(range(start, stop))
-                records.extend(executor.map_items(
+                records.extend(self._executor.map_items(
                     _simulate_worker_setup,
                     _simulate_worker_chunk,
                     payload,
@@ -322,5 +294,5 @@ class ParallelMonteCarloSimulator:
     def __repr__(self) -> str:
         return (
             f"ParallelMonteCarloSimulator(model={self.model.name}, "
-            f"runs={self.runs}, processes={self.processes or 'auto'})"
+            f"runs={self.runs})"
         )

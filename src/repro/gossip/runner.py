@@ -5,7 +5,7 @@ diffusion Monte-Carlo loop (:mod:`repro.diffusion.parallel`): replica
 ``i`` always runs on ``rng.replica(i)`` no matter which worker executes
 it, workers ship compact :class:`GossipReplicaRecord` rows home, and the
 parent folds them into the :class:`GossipAggregate` in replica order —
-serial (``processes=1``, the pool's inline path) and parallel runs are
+serial (no executor: the pool's inline path) and parallel runs are
 bit-identical.
 
 Completed replica batches checkpoint through
@@ -18,7 +18,7 @@ through the pool's snapshot-merge protocol.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exec.pool import ParallelExecutor
 from repro.gossip.config import GossipConfig
@@ -228,49 +228,32 @@ class GossipMonteCarlo:
     Args:
         config: the gossip protocol instance.
         runs: replica count.
-        processes: worker request (``None``/``1`` = inline serial,
-            ``0``/``"auto"``-style counts as in
-            :func:`repro.exec.pool.resolve_workers`).
-        share: graph publication mode for the pool.
-        chunk_timeout / chunk_retries: pool resilience knobs
-            (see ``docs/parallel.md``).
         checkpoint: a path or
             :class:`~repro.exec.checkpoint.CheckpointStore`; completed
             replica batches are saved under kind ``"gossip"`` and a
             matching checkpoint resumes after its prefix bit-identically.
         checkpoint_every: replicas per checkpointed batch.
-        executor: a shared :class:`~repro.exec.pool.ParallelExecutor`
-            (its knobs then govern); ``None`` lazily builds a
-            runner-owned one — either way every batch of every
-            :meth:`run` call (e.g. a blocking scenario's strategy
-            panels) reuses the same warm pool.
+        executor: the :class:`~repro.exec.pool.ParallelExecutor` whose
+            warm pool every batch of every :meth:`run` call (e.g. a
+            blocking scenario's strategy panels) reuses. ``None`` runs
+            serially, through an inline executor.
     """
 
     def __init__(
         self,
         config: GossipConfig,
         runs: int = 100,
-        processes: Optional[int] = None,
-        share: str = "auto",
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
         checkpoint=None,
         checkpoint_every: int = 32,
         executor: Optional[ParallelExecutor] = None,
     ) -> None:
         self.config = config
         self.runs = int(check_positive(runs, "runs"))
-        if processes is not None and processes != 0:
-            processes = int(check_positive(processes, "processes"))
-        self.processes = processes
-        self.share = share
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self.checkpoint = checkpoint
         self.checkpoint_every = int(
             check_positive(checkpoint_every, "checkpoint_every")
         )
-        self._executor = executor
+        self._executor = executor if executor is not None else ParallelExecutor()
 
     def run(
         self,
@@ -296,17 +279,6 @@ class GossipMonteCarlo:
         rumors = tuple(int(node) for node in rumors)
         protectors = tuple(int(node) for node in protectors)
         registry = metrics()
-        if self._executor is None:
-            workers: Union[int, str] = (
-                self.processes if self.processes is not None else 1
-            )
-            self._executor = ParallelExecutor(
-                workers,
-                share=self.share,
-                timeout=self.chunk_timeout,
-                retries=self.chunk_retries,
-            )
-        executor = self._executor
         payload = {
             "config": self.config.to_dict(),
             "rumors": rumors,
@@ -337,7 +309,7 @@ class GossipMonteCarlo:
                     else min(self.runs, start + self.checkpoint_every)
                 )
                 indices = list(range(start, stop))
-                records.extend(executor.map_items(
+                records.extend(self._executor.map_items(
                     _gossip_worker_setup,
                     _gossip_worker_chunk,
                     payload,
@@ -372,7 +344,4 @@ class GossipMonteCarlo:
         )
 
     def __repr__(self) -> str:
-        return (
-            f"GossipMonteCarlo({self.config.protocol}, runs={self.runs}, "
-            f"processes={self.processes or 1})"
-        )
+        return f"GossipMonteCarlo({self.config.protocol}, runs={self.runs})"

@@ -9,9 +9,9 @@ through one kernel call. Greedy/CELF then spend one vectorized sweep per
 candidate instead of ``runs`` Python simulations, which is where the
 sigma-throughput acceptance number comes from.
 
-With ``workers`` configured, :meth:`BatchedSigmaEvaluator.sigma_many`
-fans a whole candidate round out over a :class:`repro.exec.pool.\
-ParallelExecutor`: every worker re-derives the *same* coupled world
+Given a multi-worker :class:`repro.exec.pool.ParallelExecutor`,
+:meth:`BatchedSigmaEvaluator.sigma_many` fans a whole candidate round
+out over its pool: every worker re-derives the *same* coupled world
 batch from the evaluator's seed (world sampling is a pure function of
 ``(seed, spec, runs)``), races its candidate chunk against it, and the
 per-candidate σ̂ values come back in submission order — bit-identical to
@@ -145,23 +145,11 @@ class BatchedSigmaEvaluator:
         world_source: ``"native"`` (the backend's fastest sampler) or
             ``"shared"`` (the backend-agnostic sampler, bit-identical
             across backends — what the differential tests use).
-        workers: worker request for :meth:`sigma_many` (``None``/``1``
-            serial, ``0`` one per CPU); parallel evaluation is
-            bit-identical to serial, see ``docs/parallel.md``.
-        share: graph publication mode for the pool (``"auto"``/``"shm"``/
-            ``"pickle"``).
-        chunk_timeout: per-chunk deadline in seconds for the pool
-            (``None`` waits forever); see the failure-semantics section
-            of ``docs/parallel.md``.
-        chunk_retries: deterministic resubmission budget per failed
-            chunk (``None`` uses the executor default).
-        executor: a shared :class:`~repro.exec.pool.ParallelExecutor`
-            to submit rounds to (its ``workers``/``share``/timeout
-            knobs then govern and the per-evaluator knobs above are
-            ignored). ``None`` lazily builds an evaluator-owned
-            executor from those knobs on the first parallel round and
-            reuses it for the evaluator's lifetime — either way the
-            pool is warm across greedy/CELF candidate rounds.
+        executor: the :class:`~repro.exec.pool.ParallelExecutor` that
+            :meth:`sigma_many` fans candidate rounds out over, warm
+            across greedy/CELF rounds; parallel evaluation is
+            bit-identical to serial, see ``docs/parallel.md``. ``None``
+            runs serially.
     """
 
     def __init__(
@@ -173,10 +161,6 @@ class BatchedSigmaEvaluator:
         rng: Optional[RngStream] = None,
         backend: Union[str, KernelBackend, None] = BACKEND_AUTO,
         world_source: str = "native",
-        workers: Union[int, str, None] = None,
-        share: str = "auto",
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
         executor: Optional["ParallelExecutor"] = None,
     ) -> None:
         self.context = context
@@ -196,10 +180,6 @@ class BatchedSigmaEvaluator:
                 f"got {world_source!r}"
             )
         self.world_source = world_source
-        self.workers = workers
-        self.share = share
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self._executor = executor
         self.rng = rng or RngStream(name="sigma")
         self._rumor_ids = context.rumor_seed_ids()
@@ -283,24 +263,6 @@ class BatchedSigmaEvaluator:
             "end_ids": list(self._end_ids),
         }
 
-    def _get_executor(self) -> "ParallelExecutor":
-        """The shared executor, or a lazily-built evaluator-owned one.
-
-        Either way the same executor (and so the same warm pool, graph
-        publication, and cached worker race state) serves every
-        subsequent :meth:`sigma_many` round.
-        """
-        if self._executor is None:
-            from repro.exec.pool import ParallelExecutor
-
-            self._executor = ParallelExecutor(
-                self.workers,
-                share=self.share,
-                timeout=self.chunk_timeout,
-                retries=self.chunk_retries,
-            )
-        return self._executor
-
     def sigma(self, protectors: Iterable[Node]) -> float:
         """σ̂(A): mean size of the protector blocking set over the worlds."""
         protector_ids = self._protector_ids(protectors)
@@ -323,16 +285,13 @@ class BatchedSigmaEvaluator:
             return []
         from repro.exec.pool import resolve_workers
 
-        workers = (
-            self._executor.workers if self._executor is not None
-            else self.workers
-        )
-        if resolve_workers(workers, len(id_sets)) <= 1:
+        executor = self._executor
+        if executor is None or resolve_workers(executor.workers, len(id_sets)) <= 1:
             state = self._race_state()
             self.evaluations += len(id_sets)
             return [_sigma_from_race(state, ids) for ids in id_sets]
         self.baseline  # noqa: B018 - parent samples + races once, counted
-        sigmas = self._get_executor().map_items(
+        sigmas = executor.map_items(
             _sigma_worker_setup,
             _sigma_worker_chunk,
             self._worker_payload(),
@@ -358,5 +317,5 @@ class BatchedSigmaEvaluator:
         return (
             f"BatchedSigmaEvaluator(model={self.model.name}, "
             f"backend={self.backend.name}, runs={self.runs}, "
-            f"max_hops={self.max_hops}, workers={self.workers!r})"
+            f"max_hops={self.max_hops})"
         )

@@ -123,10 +123,7 @@ def evaluate_protectors(
     max_hops: int = DEFAULT_MAX_HOPS,
     rng: Optional[RngStream] = None,
     backend: Optional[str] = None,
-    workers: Optional[int] = None,
     checkpoint=None,
-    chunk_timeout: Optional[float] = None,
-    chunk_retries: Optional[int] = None,
     executor=None,
 ) -> EvaluationResult:
     """Simulate an instance with a given protector set and aggregate.
@@ -142,40 +139,33 @@ def evaluate_protectors(
         rng: base stream (required for stochastic models).
         backend: optional kernel backend name for batched simulation
             (see :class:`~repro.diffusion.simulation.MonteCarloSimulator`).
-        workers: worker request for process-parallel replicas (``None``/
-            ``1`` serial, ``0`` one per CPU); results are bit-identical
-            to the serial per-replica path. Ignored with ``backend``
-            (the batched kernel already races all replicas at once).
         checkpoint: a path or :class:`~repro.exec.checkpoint.\
-            CheckpointStore` for the parallel path's replica batches
+            CheckpointStore` for the per-replica path's replica batches
             (see :class:`~repro.diffusion.parallel.\
-ParallelMonteCarloSimulator`); ignored on the serial/backend paths.
-        chunk_timeout: per-chunk pool deadline in seconds for the
-            parallel path (see ``docs/parallel.md``).
-        chunk_retries: deterministic resubmission budget per failed
-            chunk (``None`` uses the executor default).
-        executor: a shared :class:`~repro.exec.pool.ParallelExecutor`
-            for the parallel path — e.g. the one the CLI already warmed
-            during selection — so evaluation reuses its pool and graph
-            publication instead of spinning up new ones.
+ParallelMonteCarloSimulator`); ignored with ``backend`` or a
+            deterministic model.
+        executor: a :class:`~repro.exec.pool.ParallelExecutor` for
+            process-parallel replicas — e.g. the one the CLI already
+            warmed during selection, so evaluation reuses its pool and
+            graph publication. Results are bit-identical to the serial
+            path. Ignored with ``backend`` (the batched kernel already
+            races all replicas at once). ``None`` runs serially.
     """
     indexed = context.indexed
     protector_ids = resolve_seed_labels(indexed, protectors, "protector")
     seeds = SeedSets(rumors=context.rumor_seed_ids(), protectors=protector_ids)
     end_ids = context.bridge_end_ids()
 
-    if executor is not None and workers is None:
-        workers = executor.workers
-    if workers is not None and backend is None and model.stochastic:
+    if backend is None and model.stochastic:
         from repro.exec.pool import resolve_workers
 
-        if resolve_workers(workers, runs) > 1:
-            return _evaluate_parallel(
-                indexed, seeds, end_ids, model, runs, max_hops, rng, workers,
-                checkpoint=checkpoint,
-                chunk_timeout=chunk_timeout,
-                chunk_retries=chunk_retries,
-                executor=executor,
+        pooled = (
+            executor is not None and resolve_workers(executor.workers, runs) > 1
+        )
+        if pooled or checkpoint is not None:
+            return _evaluate_replicas(
+                indexed, seeds, end_ids, model, runs, max_hops, rng,
+                checkpoint=checkpoint, executor=executor,
             )
 
     simulator = MonteCarloSimulator(
@@ -204,15 +194,17 @@ ParallelMonteCarloSimulator`); ignored on the serial/backend paths.
     return result
 
 
-def _evaluate_parallel(
-    indexed, seeds, end_ids, model, runs, max_hops, rng, workers,
-    checkpoint=None, chunk_timeout=None, chunk_retries=None, executor=None,
+def _evaluate_replicas(
+    indexed, seeds, end_ids, model, runs, max_hops, rng,
+    checkpoint=None, executor=None,
 ) -> EvaluationResult:
-    """Process-parallel evaluation, bit-identical to the serial path.
+    """Evaluation through the replica runner, bit-identical to the serial path.
 
-    Workers ship per-replica :class:`~repro.diffusion.parallel.\
-ReplicaRecord` data; folding it here in replica order feeds the exact
-    per-replica values the serial ``collect`` callback would have seen.
+    The runner fans replicas out over ``executor`` (inline without one)
+    and checkpoints their batches. It ships per-replica
+    :class:`~repro.diffusion.parallel.ReplicaRecord` data; folding it
+    here in replica order feeds the exact per-replica values the serial
+    ``collect`` callback would have seen.
     """
     from repro.diffusion.parallel import ParallelMonteCarloSimulator
 
@@ -220,9 +212,6 @@ ReplicaRecord` data; folding it here in replica order feeds the exact
         model,
         runs=runs,
         max_hops=max_hops,
-        processes=None if workers == 0 else workers,
-        chunk_timeout=chunk_timeout,
-        chunk_retries=chunk_retries,
         checkpoint=checkpoint,
         executor=executor,
     )

@@ -138,14 +138,13 @@ class GossipBlockingScenario:
             included).
         runs: gossip replicas per strategy.
         budget: protector-set size each selector is asked for.
-        processes / share / chunk_timeout / chunk_retries / checkpoint:
-            forwarded to :class:`~repro.gossip.runner.GossipMonteCarlo`
-            (checkpoints are per-strategy: the strategy's protector set
-            is part of the run-key).
-        executor: a shared :class:`~repro.exec.pool.ParallelExecutor`
-            every strategy panel submits to; ``None`` builds one
-            scenario-owned executor so the panels still share a single
-            warm pool instead of one per strategy.
+        checkpoint: forwarded to
+            :class:`~repro.gossip.runner.GossipMonteCarlo` (checkpoints
+            are per-strategy: the strategy's protector set is part of
+            the run-key).
+        executor: a :class:`~repro.exec.pool.ParallelExecutor` every
+            strategy panel submits to, so the panels share one warm
+            pool. ``None`` runs serially.
     """
 
     def __init__(
@@ -153,20 +152,12 @@ class GossipBlockingScenario:
         config: GossipConfig,
         runs: int = 50,
         budget: int = 2,
-        processes: Optional[int] = None,
-        share: str = "auto",
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
         checkpoint=None,
         executor=None,
     ) -> None:
         self.config = config
         self.runs = int(check_positive(runs, "runs"))
         self.budget = int(check_positive(budget, "budget"))
-        self.processes = processes
-        self.share = share
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self.checkpoint = checkpoint
         self._executor = executor
         self._runner: Optional[GossipMonteCarlo] = None
@@ -201,10 +192,6 @@ class GossipBlockingScenario:
                 self._runner = GossipMonteCarlo(
                     self.config,
                     runs=self.runs,
-                    processes=self.processes,
-                    share=self.share,
-                    chunk_timeout=self.chunk_timeout,
-                    chunk_retries=self.chunk_retries,
                     checkpoint=self.checkpoint,
                     executor=self._executor,
                 )

@@ -81,10 +81,9 @@ class RumorBlockingService:
         invalidation: world-staleness rule for updates — ``"footprint"``
             (exact; refreshed state is bit-identical to from-scratch) or
             ``"members"`` (cheaper, approximate).
-        workers: worker request for parallel world sampling (``None``/
-            ``1`` serial, ``0`` one per CPU), forwarded to every store.
-        executor: a shared :class:`~repro.exec.pool.ParallelExecutor`
-            all stores submit to; ``None`` lets each store own one.
+        executor: a :class:`~repro.exec.pool.ParallelExecutor` every
+            store's world sampling fans out over, so all instances share
+            one warm pool. ``None`` runs serially.
         backend: sketch-kernel backend for RR-set sampling (``"numpy"``,
             ``"python"``, or ``None``/``"auto"``), forwarded to every
             store; cold and warm paths are bit-identical either way.
@@ -100,7 +99,6 @@ class RumorBlockingService:
         initial_worlds: int = 64,
         max_worlds: int = 4096,
         invalidation: str = "footprint",
-        workers: Optional[int] = None,
         executor=None,
         backend: Optional[str] = None,
     ) -> None:
@@ -124,7 +122,6 @@ class RumorBlockingService:
         self.initial_worlds = int(check_positive(initial_worlds, "initial_worlds"))
         self.max_worlds = int(check_positive(max_worlds, "max_worlds"))
         self.invalidation = invalidation
-        self.workers = workers
         self.backend = backend
         self._executor = executor
         self._rng = RngStream(seed, name="serve")
@@ -171,7 +168,6 @@ class RumorBlockingService:
         )
         store = SketchStore(
             self._build_sampler(seed_ids, end_ids),
-            workers=self.workers,
             executor=self._executor,
             backend=self.backend,
         )

@@ -45,9 +45,9 @@ refreshed arrays are bit-identical to a from-scratch store sampled on
 the mutated graph with the same seed.
 
 Because world ``i`` is a pure function of its index, a growth step is
-embarrassingly parallel: with ``workers`` configured, each doubling
-round fans contiguous index chunks out over a
-:class:`repro.exec.pool.ParallelExecutor` (workers rebuild the sampler
+embarrassingly parallel: given a multi-worker
+:class:`repro.exec.pool.ParallelExecutor`, each doubling round fans
+contiguous index chunks out over its pool (workers rebuild the sampler
 from its graph-free payload) and appends the returned
 :class:`~repro.sketch.rrset.WorldSample`\\ s **in index order** in the
 parent — arrays, inverted index, and ``sketch.*`` metrics come out
@@ -107,19 +107,10 @@ class SketchStore:
     Args:
         sampler: an object with ``sample_world(index) -> WorldSample``
             and a ``stochastic`` flag (see :mod:`repro.sketch.rrset`).
-        workers: worker request for parallel world sampling (``None``/
-            ``1`` serial, ``0`` one per CPU). Needs a sampler exposing
-            ``worker_payload()``; contents are bit-identical either way.
-        share: graph publication mode for the pool (see
-            :func:`repro.exec.shm.publish_graph`).
-        chunk_timeout: per-chunk pool deadline in seconds (``None``
-            waits forever); see ``docs/parallel.md``.
-        chunk_retries: deterministic resubmission budget per failed
-            chunk (``None`` uses the executor default).
-        executor: a shared :class:`~repro.exec.pool.ParallelExecutor`
-            to fan doubling rounds out over (its knobs then govern);
-            ``None`` lazily builds a store-owned one from the knobs
-            above — either way the same warm pool serves every round.
+        executor: the :class:`~repro.exec.pool.ParallelExecutor` whose
+            warm pool serves every doubling round. Needs a sampler
+            exposing ``worker_payload()``; contents are bit-identical
+            either way. ``None`` runs serially.
         backend: sketch-kernel backend for world sampling (``"numpy"``,
             ``"python"``, or ``None``/``"auto"`` for the fastest
             available); applied serially and inside pool workers. All
@@ -128,10 +119,6 @@ class SketchStore:
 
     __slots__ = (
         "sampler",
-        "workers",
-        "share",
-        "chunk_timeout",
-        "chunk_retries",
         "backend",
         "_executor",
         "worlds",
@@ -152,18 +139,10 @@ class SketchStore:
     def __init__(
         self,
         sampler,
-        workers=None,
-        share: str = "auto",
-        chunk_timeout=None,
-        chunk_retries=None,
         executor=None,
         backend=None,
     ) -> None:
         self.sampler = sampler
-        self.workers = workers
-        self.share = share
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self.backend = backend
         self._executor = executor
         #: number of worlds sampled so far.
@@ -203,34 +182,24 @@ class SketchStore:
         Serial rounds and pool workers both sample through
         :func:`repro.sketch.kernels.sample_worlds` with the store's
         ``backend``, so the batched kernels serve every path. Falls back
-        to serial sampling when the round is trivial, the sampler is
+        to serial sampling when there is no executor, the round resolves
+        to one worker (always so for a single index), the sampler is
         deterministic (one cached world — nothing to fan out), or it
         cannot describe itself for worker-side rebuilding.
         """
-        from repro.exec.pool import ParallelExecutor, resolve_workers
+        from repro.exec.pool import resolve_workers
         from repro.sketch.kernels import sample_worlds
 
-        workers = (
-            self._executor.workers if self._executor is not None
-            else self.workers
-        )
-        worker_count = resolve_workers(workers, len(indices))
+        executor = self._executor
         payload_fn = getattr(self.sampler, "worker_payload", None)
         if (
-            worker_count <= 1
-            or len(indices) < 2
+            executor is None
+            or resolve_workers(executor.workers, len(indices)) <= 1
             or payload_fn is None
             or not self.sampler.stochastic
         ):
             return sample_worlds(self.sampler, list(indices), backend=self.backend)
-        if self._executor is None:
-            self._executor = ParallelExecutor(
-                self.workers,
-                share=self.share,
-                timeout=self.chunk_timeout,
-                retries=self.chunk_retries,
-            )
-        return self._executor.map_items(
+        return executor.map_items(
             _sampler_worker_setup,
             _sampler_worker_chunk,
             {"sampler": payload_fn(), "backend": self.backend},

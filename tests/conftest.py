@@ -7,6 +7,7 @@ from hypothesis import settings as hypothesis_settings
 
 from repro.algorithms.base import SelectionContext
 from repro.datasets.toy import figure1_graph, figure2_graph, two_community_toy
+from repro.exec.pool import ParallelExecutor
 from repro.graph.digraph import DiGraph
 from repro.rng import RngStream
 
@@ -21,6 +22,13 @@ hypothesis_settings.load_profile("repro")
 def rng() -> RngStream:
     """A fixed-seed stream; fork per-test features off it."""
     return RngStream(12345, name="test")
+
+
+@pytest.fixture
+def two_workers():
+    """A two-worker executor, closed when the test ends."""
+    with ParallelExecutor(2) as executor:
+        yield executor
 
 
 @pytest.fixture

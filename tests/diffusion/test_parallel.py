@@ -11,6 +11,7 @@ from repro.diffusion.parallel import (
     record_outcome,
 )
 from repro.diffusion.simulation import MonteCarloSimulator, SimulationAggregate
+from repro.exec.pool import ParallelExecutor
 from repro.graph.digraph import DiGraph
 from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
@@ -28,9 +29,10 @@ class TestEquivalenceWithSerial:
         serial = MonteCarloSimulator(OPOAOModel(), runs=12, max_hops=6).simulate(
             indexed, seeds, rng=RngStream(5)
         )
-        parallel = ParallelMonteCarloSimulator(
-            OPOAOModel(), runs=12, max_hops=6, processes=3
-        ).simulate(indexed, seeds, rng=RngStream(5))
+        with ParallelExecutor(3) as executor:
+            parallel = ParallelMonteCarloSimulator(
+                OPOAOModel(), runs=12, max_hops=6, executor=executor
+            ).simulate(indexed, seeds, rng=RngStream(5))
         assert parallel.runs == serial.runs == 12
         # Workers ship per-replica records and the parent folds them in
         # replica order, so the aggregate is bit-identical to serial —
@@ -46,23 +48,23 @@ class TestEquivalenceWithSerial:
         indexed = star.to_indexed()
         seeds = SeedSets(rumors=[0])
         parallel = ParallelMonteCarloSimulator(
-            OPOAOModel(), runs=5, max_hops=4, processes=1
+            OPOAOModel(), runs=5, max_hops=4
         ).simulate(indexed, seeds, rng=RngStream(6))
         serial = MonteCarloSimulator(OPOAOModel(), runs=5, max_hops=4).simulate(
             indexed, seeds, rng=RngStream(6)
         )
         assert parallel.infected_per_hop == serial.infected_per_hop
 
-    def test_deterministic_model_single_run(self, chain):
+    def test_deterministic_model_single_run(self, chain, two_workers):
         indexed = chain.to_indexed()
         aggregate = ParallelMonteCarloSimulator(
-            DOAMModel(), runs=99, processes=4
+            DOAMModel(), runs=99, executor=two_workers
         ).simulate(indexed, SeedSets(rumors=[0]))
         assert aggregate.runs == 1
         assert aggregate.final_infected.mean == 6
 
     def test_rng_required(self, star):
-        simulator = ParallelMonteCarloSimulator(OPOAOModel(), runs=3, processes=2)
+        simulator = ParallelMonteCarloSimulator(OPOAOModel(), runs=3)
         with pytest.raises(ValueError):
             simulator.simulate(star.to_indexed(), SeedSets(rumors=[0]))
 
@@ -77,15 +79,16 @@ class TestSimulateDetailed:
         for replica in range(9):
             outcome = model.run(indexed, seeds, rng=RngStream(8).replica(replica), max_hops=6)
             expected.append(record_outcome(outcome, 6, end_ids))
-        _, records = ParallelMonteCarloSimulator(
-            model, runs=9, max_hops=6, processes=3
-        ).simulate_detailed(indexed, seeds, rng=RngStream(8), end_ids=end_ids)
+        with ParallelExecutor(3) as executor:
+            _, records = ParallelMonteCarloSimulator(
+                model, runs=9, max_hops=6, executor=executor
+            ).simulate_detailed(indexed, seeds, rng=RngStream(8), end_ids=end_ids)
         assert records == expected
 
-    def test_deterministic_model_records(self, chain):
+    def test_deterministic_model_records(self, chain, two_workers):
         indexed = chain.to_indexed()
         aggregate, records = ParallelMonteCarloSimulator(
-            DOAMModel(), runs=50, processes=4
+            DOAMModel(), runs=50, executor=two_workers
         ).simulate_detailed(indexed, SeedSets(rumors=[0]), end_ids=(5,))
         assert aggregate.runs == 1
         assert len(records) == 1
@@ -104,7 +107,7 @@ class TestSimulateDetailed:
         assert len(record.infected_series) == 32
         assert record.final_infected == outcome.infected_count
 
-    def test_sim_worlds_counter_matches_serial(self, star):
+    def test_sim_worlds_counter_matches_serial(self, star, two_workers):
         indexed = star.to_indexed()
         seeds = SeedSets(rumors=[0])
         serial_registry = MetricsRegistry()
@@ -115,7 +118,7 @@ class TestSimulateDetailed:
         parallel_registry = MetricsRegistry()
         with use_registry(parallel_registry):
             ParallelMonteCarloSimulator(
-                OPOAOModel(), runs=10, max_hops=5, processes=2
+                OPOAOModel(), runs=10, max_hops=5, executor=two_workers
             ).simulate(indexed, seeds, rng=RngStream(4))
         # Drop timers (never deterministic) and exec.* fault-bookkeeping
         # counters (present only under the CI fault-injection leg).
@@ -134,7 +137,7 @@ class TestSimulateDetailed:
 
 
 class TestEvaluateProtectorsWorkers:
-    def test_bit_identical_evaluation(self, star):
+    def test_bit_identical_evaluation(self, star, two_workers):
         from repro.algorithms.base import SelectionContext
         from repro.lcrb.evaluation import evaluate_protectors
 
@@ -147,7 +150,8 @@ class TestEvaluateProtectorsWorkers:
             context, [1, 2], model, runs=10, max_hops=6, rng=RngStream(3)
         )
         parallel = evaluate_protectors(
-            context, [1, 2], model, runs=10, max_hops=6, rng=RngStream(3), workers=2
+            context, [1, 2], model, runs=10, max_hops=6, rng=RngStream(3),
+            executor=two_workers,
         )
         assert parallel.final_infected_samples == serial.final_infected_samples
         assert parallel.infected_per_hop == serial.infected_per_hop

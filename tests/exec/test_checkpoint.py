@@ -200,17 +200,19 @@ class TestRISResume:
 
 
 class TestMonteCarloResume:
-    def simulator(self, runs, tmp_path=None, processes=2):
+    def simulator(self, executor, runs, tmp_path=None):
         return ParallelMonteCarloSimulator(
             OPOAOModel(),
             runs=runs,
             max_hops=5,
-            processes=processes,
             checkpoint=None if tmp_path is None else tmp_path / "run.ckpt",
             checkpoint_every=4,
+            executor=executor,
         )
 
-    def test_interrupted_run_resumes_bit_identical(self, chain, tmp_path):
+    def test_interrupted_run_resumes_bit_identical(
+        self, chain, tmp_path, two_workers
+    ):
         indexed = chain.to_indexed()
         seeds = SeedSets(rumors=[0])
 
@@ -219,12 +221,14 @@ class TestMonteCarloResume:
                 indexed, seeds, rng=RngStream(11), end_ids=(4, 5)
             )
 
-        full_aggregate, full_records = run(self.simulator(12))
+        full_aggregate, full_records = run(self.simulator(two_workers, 12))
         # "Interrupt" after 6 replicas, then resume out to 12.
-        run(self.simulator(6, tmp_path))
+        run(self.simulator(two_workers, 6, tmp_path))
         registry = MetricsRegistry()
         with use_registry(registry):
-            resumed_aggregate, resumed_records = run(self.simulator(12, tmp_path))
+            resumed_aggregate, resumed_records = run(
+                self.simulator(two_workers, 12, tmp_path)
+            )
         assert resumed_records == full_records
         assert resumed_aggregate.infected_per_hop == full_aggregate.infected_per_hop
         assert (
@@ -233,25 +237,25 @@ class TestMonteCarloResume:
         )
         assert registry.counter_values()["exec.resumed_rounds"] == 6
 
-    def test_longer_checkpoint_truncates(self, chain, tmp_path):
+    def test_longer_checkpoint_truncates(self, chain, tmp_path, two_workers):
         indexed = chain.to_indexed()
         seeds = SeedSets(rumors=[0])
-        _, full_records = self.simulator(12, tmp_path).simulate_detailed(
-            indexed, seeds, rng=RngStream(11)
-        )
-        _, short_records = self.simulator(6, tmp_path).simulate_detailed(
-            indexed, seeds, rng=RngStream(11)
-        )
+        _, full_records = self.simulator(
+            two_workers, 12, tmp_path
+        ).simulate_detailed(indexed, seeds, rng=RngStream(11))
+        _, short_records = self.simulator(
+            two_workers, 6, tmp_path
+        ).simulate_detailed(indexed, seeds, rng=RngStream(11))
         assert short_records == full_records[:6]
 
-    def test_different_seeds_rejected(self, chain, tmp_path):
+    def test_different_seeds_rejected(self, chain, tmp_path, two_workers):
         indexed = chain.to_indexed()
         seeds = SeedSets(rumors=[0])
-        self.simulator(6, tmp_path).simulate_detailed(
+        self.simulator(two_workers, 6, tmp_path).simulate_detailed(
             indexed, seeds, rng=RngStream(11)
         )
         with pytest.raises(CheckpointError):
-            self.simulator(6, tmp_path).simulate_detailed(
+            self.simulator(two_workers, 6, tmp_path).simulate_detailed(
                 indexed, seeds, rng=RngStream(12)
             )
 
@@ -265,42 +269,44 @@ class TestMonteCarloCascadeKeys:
     silently resuming foreign replicas.
     """
 
-    def simulator(self, runs, tmp_path):
+    def simulator(self, executor, runs, tmp_path):
         return ParallelMonteCarloSimulator(
             OPOAOModel(),
             runs=runs,
             max_hops=5,
-            processes=2,
             checkpoint=tmp_path / "run.ckpt",
             checkpoint_every=4,
+            executor=executor,
         )
 
-    def test_priority_rule_changes_the_key(self, chain, tmp_path):
+    def test_priority_rule_changes_the_key(self, chain, tmp_path, two_workers):
         indexed = chain.to_indexed()
         cascades = [[0], [3], [5]]
-        self.simulator(6, tmp_path).simulate_detailed(
+        self.simulator(two_workers, 6, tmp_path).simulate_detailed(
             indexed, CascadeSet(cascades), rng=RngStream(11)
         )
         with pytest.raises(CheckpointError):
-            self.simulator(6, tmp_path).simulate_detailed(
+            self.simulator(two_workers, 6, tmp_path).simulate_detailed(
                 indexed,
                 CascadeSet(cascades, priority="rumor-first"),
                 rng=RngStream(11),
             )
 
-    def test_cascade_split_changes_the_key(self, chain, tmp_path):
+    def test_cascade_split_changes_the_key(self, chain, tmp_path, two_workers):
         # Same nodes fielded, different campaign structure: K=2 with
         # protectors {3, 5} is not K=3 with campaigns {3} and {5}.
         indexed = chain.to_indexed()
-        self.simulator(6, tmp_path).simulate_detailed(
+        self.simulator(two_workers, 6, tmp_path).simulate_detailed(
             indexed, SeedSets(rumors=[0], protectors=[3, 5]), rng=RngStream(11)
         )
         with pytest.raises(CheckpointError):
-            self.simulator(6, tmp_path).simulate_detailed(
+            self.simulator(two_workers, 6, tmp_path).simulate_detailed(
                 indexed, CascadeSet([[0], [3], [5]]), rng=RngStream(11)
             )
 
-    def test_stale_pre_refactor_checkpoint_rejected(self, chain, tmp_path):
+    def test_stale_pre_refactor_checkpoint_rejected(
+        self, chain, tmp_path, two_workers
+    ):
         # A checkpoint whose mc entry was fingerprinted the old way
         # (flat rumors/protectors, no cascades/priority parts) must raise
         # rather than resume.
@@ -313,13 +319,13 @@ class TestMonteCarloCascadeKeys:
         store = CheckpointStore(tmp_path / "run.ckpt")
         store.save("mc", stale_key, {"batches": []}, rounds=0)
         with pytest.raises(CheckpointError):
-            self.simulator(6, tmp_path).simulate_detailed(
+            self.simulator(two_workers, 6, tmp_path).simulate_detailed(
                 indexed,
                 SeedSets(rumors=[0], protectors=[3]),
                 rng=RngStream(11),
             )
 
-    def test_k3_prefix_resume_is_bit_identical(self, chain, tmp_path):
+    def test_k3_prefix_resume_is_bit_identical(self, chain, tmp_path, two_workers):
         indexed = chain.to_indexed()
         seeds = CascadeSet([[0], [3], [5]], priority="rumor-first")
 
@@ -330,11 +336,13 @@ class TestMonteCarloCascadeKeys:
 
         full_aggregate, full_records = run(
             ParallelMonteCarloSimulator(
-                OPOAOModel(), runs=12, max_hops=5, processes=2
+                OPOAOModel(), runs=12, max_hops=5, executor=two_workers
             )
         )
-        run(self.simulator(6, tmp_path))
-        resumed_aggregate, resumed_records = run(self.simulator(12, tmp_path))
+        run(self.simulator(two_workers, 6, tmp_path))
+        resumed_aggregate, resumed_records = run(
+            self.simulator(two_workers, 12, tmp_path)
+        )
         assert resumed_records == full_records
         assert (
             resumed_aggregate.infected_per_hop
@@ -366,3 +374,30 @@ class TestCLICheckpointFlags:
         assert main(argv + ["--resume"]) == 0
         resumed = capsys.readouterr().out
         assert resumed == first
+
+    def test_serial_simulate_checkpoints_replica_batches(self, tmp_path, capsys):
+        """Without --workers, Monte-Carlo replica batches checkpoint too."""
+        from repro.cli import main
+
+        path = tmp_path / "cli.ckpt"
+        argv = [
+            "simulate",
+            "--dataset", "enron-small",
+            "--scale", "0.05",
+            "--seed", "13",
+            "--algorithm", "maxdegree",
+            "--model", "opoao",
+            "--runs", "8",
+            "--hops", "8",
+        ]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--checkpoint", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+        document = json.loads(path.read_text())
+        assert document["entries"]["mc"]["rounds"] == 8
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert main(argv + ["--checkpoint", str(path), "--resume"]) == 0
+        assert capsys.readouterr().out == plain
+        assert registry.counter_values()["exec.resumed_rounds"] == 8

@@ -2,6 +2,7 @@
 chunks, close/finalize cleanup, and the process-wide shared-pool mode."""
 
 import gc
+import json
 
 import pytest
 
@@ -230,3 +231,33 @@ class TestSharedPoolMode:
         finally:
             shutdown_shared_pools()
         assert _SHARED_POOLS == {}
+
+
+class TestOnePoolPerInvocation:
+    def test_cli_run_creates_one_pool_and_one_publication(
+        self, monkeypatch, tmp_path
+    ):
+        """Selection and evaluation of one ``repro simulate --workers``
+        run share the invocation's executor (docs/cli.md)."""
+        from repro.cli import main
+
+        monkeypatch.delenv(SHARED_POOL_ENV, raising=False)
+        path = tmp_path / "metrics.json"
+        argv = [
+            "simulate",
+            "--dataset", "enron-small",
+            "--scale", "0.05",
+            "--seed", "13",
+            "--algorithm", "ris-greedy",
+            "--model", "opoao",
+            "--runs", "16",
+            "--hops", "8",
+            "--epsilon", "0.3",
+            "--delta", "0.1",
+            "--workers", "2",
+            "--metrics-out", str(path),
+        ]
+        assert main(argv) == 0
+        counters = json.loads(path.read_text())["counters"]
+        assert counters["exec.pool.created"] == 1
+        assert counters["exec.publications"] == 1

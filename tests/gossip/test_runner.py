@@ -26,9 +26,9 @@ CONFIG = GossipConfig(
 )
 
 
-def run(graph, runs=10, processes=1, checkpoint=None, seed=42):
+def run(graph, runs=10, executor=None, checkpoint=None, seed=42):
     runner = GossipMonteCarlo(
-        CONFIG, runs=runs, processes=processes, checkpoint=checkpoint
+        CONFIG, runs=runs, checkpoint=checkpoint, executor=executor
     )
     return runner.run_detailed(
         graph, [0], [6, 12], rng=RngStream(seed, name="runner")
@@ -36,9 +36,9 @@ def run(graph, runs=10, processes=1, checkpoint=None, seed=42):
 
 
 class TestBitIdentity:
-    def test_serial_vs_two_workers(self, ring_graph):
-        _, serial = run(ring_graph, processes=1)
-        _, parallel = run(ring_graph, processes=2)
+    def test_serial_vs_two_workers(self, ring_graph, two_workers):
+        _, serial = run(ring_graph)
+        _, parallel = run(ring_graph, executor=two_workers)
         assert serial == parallel
 
     def test_aggregate_matches_records(self, ring_graph):
@@ -94,10 +94,10 @@ class TestCheckpoint:
 
 
 class TestObsCounters:
-    def test_counters_histogram_and_gauge(self, ring_graph):
+    def test_counters_histogram_and_gauge(self, ring_graph, two_workers):
         registry = MetricsRegistry()
         with use_registry(registry):
-            aggregate, records = run(ring_graph, processes=2)
+            aggregate, records = run(ring_graph, executor=two_workers)
         counters = registry.counter_values()
         assert counters["gossip.replicas"] == 10
         assert counters["gossip.messages"] == aggregate.messages_total
@@ -113,13 +113,13 @@ class TestObsCounters:
         gauge = registry.gauge("gossip.residual_infected")
         assert gauge.value == float(aggregate.max_infected)
 
-    def test_serial_and_parallel_counters_match(self, ring_graph):
+    def test_serial_and_parallel_counters_match(self, ring_graph, two_workers):
         serial_registry = MetricsRegistry()
         with use_registry(serial_registry):
-            run(ring_graph, processes=1)
+            run(ring_graph)
         parallel_registry = MetricsRegistry()
         with use_registry(parallel_registry):
-            run(ring_graph, processes=2)
+            run(ring_graph, executor=two_workers)
         serial = {
             name: value
             for name, value in serial_registry.counter_values().items()

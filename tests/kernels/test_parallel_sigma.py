@@ -11,12 +11,13 @@ from repro.algorithms.celf import CELFGreedySelector
 from repro.algorithms.greedy import GreedySelector, candidate_pool
 from repro.diffusion.doam import DOAMModel
 from repro.diffusion.opoao import OPOAOModel
+from repro.exec.pool import ParallelExecutor
 from repro.kernels.sigma import BatchedSigmaEvaluator
 from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
 
 
-def make_evaluator(context, workers=None, runs=12, seed=77):
+def make_evaluator(context, executor=None, runs=12, seed=77):
     return BatchedSigmaEvaluator(
         context,
         model=OPOAOModel(),
@@ -24,7 +25,7 @@ def make_evaluator(context, workers=None, runs=12, seed=77):
         max_hops=8,
         rng=RngStream(seed, name="parallel-sigma"),
         backend="python",
-        workers=workers,
+        executor=executor,
     )
 
 
@@ -44,9 +45,9 @@ def counters_only(registry):
 
 
 class TestSigmaManyBitIdentity:
-    def test_two_workers_match_serial_loop(self, fig2_context):
+    def test_two_workers_match_serial_loop(self, fig2_context, two_workers):
         serial = make_evaluator(fig2_context)
-        parallel = make_evaluator(fig2_context, workers=2)
+        parallel = make_evaluator(fig2_context, two_workers)
         candidates = candidate_pool(fig2_context)
         sets = [[node] for node in candidates]
         expected = [serial.sigma(single) for single in sets]
@@ -59,44 +60,37 @@ class TestSigmaManyBitIdentity:
         sets = [[node] for node in candidate_pool(fig2_context)]
         assert batched.sigma_many(sets) == [looped.sigma(s) for s in sets]
 
-    def test_multi_node_sets(self, fig2_context):
+    def test_multi_node_sets(self, fig2_context, two_workers):
         pool = candidate_pool(fig2_context)
         sets = [pool[:2], pool[1:3], pool[:1]]
         serial = make_evaluator(fig2_context).sigma_many(sets)
-        parallel = make_evaluator(fig2_context, workers=2).sigma_many(sets)
+        parallel = make_evaluator(fig2_context, two_workers).sigma_many(sets)
         assert parallel == serial
 
-    def test_deterministic_model(self, fig2_context):
+    def test_deterministic_model(self, fig2_context, two_workers):
         sets = [[node] for node in candidate_pool(fig2_context)]
         serial = BatchedSigmaEvaluator(
             fig2_context, model=DOAMModel(), backend="python"
         ).sigma_many(sets)
         parallel = BatchedSigmaEvaluator(
-            fig2_context, model=DOAMModel(), backend="python", workers=2
+            fig2_context, model=DOAMModel(), backend="python",
+            executor=two_workers,
         ).sigma_many(sets)
         assert parallel == serial
 
-    def test_empty_input(self, fig2_context):
-        assert make_evaluator(fig2_context, workers=2).sigma_many([]) == []
+    def test_empty_input(self, fig2_context, two_workers):
+        assert make_evaluator(fig2_context, two_workers).sigma_many([]) == []
 
-    def test_pickle_share_mode_matches(self, fig2_context):
+    def test_pickle_share_mode_matches(self, fig2_context, two_workers):
         sets = [[node] for node in candidate_pool(fig2_context)]
-        auto = make_evaluator(fig2_context, workers=2).sigma_many(sets)
-        pickled = BatchedSigmaEvaluator(
-            fig2_context,
-            model=OPOAOModel(),
-            runs=12,
-            max_hops=8,
-            rng=RngStream(77, name="parallel-sigma"),
-            backend="python",
-            workers=2,
-            share="pickle",
-        ).sigma_many(sets)
+        auto = make_evaluator(fig2_context, two_workers).sigma_many(sets)
+        with ParallelExecutor(2, share="pickle") as executor:
+            pickled = make_evaluator(fig2_context, executor).sigma_many(sets)
         assert pickled == auto
 
 
 class TestCounterParity:
-    def test_merged_counters_equal_serial(self, fig2_context):
+    def test_merged_counters_equal_serial(self, fig2_context, two_workers):
         sets = [[node] for node in candidate_pool(fig2_context)]
         serial_registry = MetricsRegistry()
         with use_registry(serial_registry):
@@ -104,57 +98,58 @@ class TestCounterParity:
             serial_values = [evaluator.sigma(single) for single in sets]
         parallel_registry = MetricsRegistry()
         with use_registry(parallel_registry):
-            parallel_values = make_evaluator(fig2_context, workers=2).sigma_many(
-                sets
-            )
+            parallel = make_evaluator(fig2_context, two_workers)
+            parallel_values = parallel.sigma_many(sets)
         assert parallel_values == serial_values
         assert counters_only(parallel_registry) == counters_only(serial_registry)
 
 
 class TestSelectorParity:
-    def test_greedy_selection_identical(self, fig2_context):
-        def selector(workers):
+    def test_greedy_selection_identical(self, fig2_context, two_workers):
+        def selector(executor):
             return GreedySelector(
                 runs=10,
                 max_hops=8,
                 rng=RngStream(3, name="greedy-par"),
                 backend="python",
-                workers=workers,
+                executor=executor,
             )
 
         serial = selector(None).select(fig2_context, budget=2)
-        parallel = selector(2).select(fig2_context, budget=2)
+        parallel = selector(two_workers).select(fig2_context, budget=2)
         assert parallel == serial
         assert len(parallel) == 2
 
-    def test_celf_selection_identical(self, fig2_context):
-        def selector(workers):
+    def test_celf_selection_identical(self, fig2_context, two_workers):
+        def selector(executor):
             return CELFGreedySelector(
                 runs=10,
                 max_hops=8,
                 rng=RngStream(3, name="celf-par"),
                 backend="python",
-                workers=workers,
+                executor=executor,
             )
 
         serial = selector(None).select(fig2_context, budget=2)
-        parallel = selector(2).select(fig2_context, budget=2)
+        parallel = selector(two_workers).select(fig2_context, budget=2)
         assert parallel == serial
 
-    def test_celf_matches_exhaustive_greedy_with_workers(self, fig2_context):
+    def test_celf_matches_exhaustive_greedy_with_workers(
+        self, fig2_context, two_workers
+    ):
         greedy = GreedySelector(
             runs=10,
             max_hops=8,
             rng=RngStream(3, name="match"),
             backend="python",
-            workers=2,
+            executor=two_workers,
         ).select(fig2_context, budget=2)
         celf = CELFGreedySelector(
             runs=10,
             max_hops=8,
             rng=RngStream(3, name="match"),
             backend="python",
-            workers=2,
+            executor=two_workers,
         ).select(fig2_context, budget=2)
         assert celf == greedy
 
@@ -169,10 +164,10 @@ def _numpy_available() -> bool:
 
 @pytest.mark.skipif(not _numpy_available(), reason="NumPy backend absent")
 class TestNumpyBackendParity:
-    def test_two_workers_match_serial(self, fig2_context):
+    def test_two_workers_match_serial(self, fig2_context, two_workers):
         sets = [[node] for node in candidate_pool(fig2_context)]
 
-        def evaluator(workers):
+        def evaluator(executor):
             return BatchedSigmaEvaluator(
                 fig2_context,
                 model=OPOAOModel(),
@@ -180,7 +175,8 @@ class TestNumpyBackendParity:
                 max_hops=8,
                 rng=RngStream(9, name="np-par"),
                 backend="numpy",
-                workers=workers,
+                executor=executor,
             )
 
-        assert evaluator(2).sigma_many(sets) == evaluator(None).sigma_many(sets)
+        parallel = evaluator(two_workers).sigma_many(sets)
+        assert parallel == evaluator(None).sigma_many(sets)

@@ -7,6 +7,7 @@ from repro.diffusion.doam import DOAMModel
 from repro.diffusion.opoao import OPOAOModel
 from repro.diffusion.parallel import ParallelMonteCarloSimulator
 from repro.diffusion.simulation import MonteCarloSimulator
+from repro.exec.pool import ParallelExecutor
 from repro.graph.digraph import DiGraph
 from repro.obs import NULL_REGISTRY, MetricsRegistry, metrics, use_registry
 from repro.rng import RngStream
@@ -28,9 +29,9 @@ class TestSerialParallelEquality:
                 indexed, seeds, rng=RngStream(5)
             )
         parallel_registry = MetricsRegistry()
-        with use_registry(parallel_registry):
+        with use_registry(parallel_registry), ParallelExecutor(3) as executor:
             ParallelMonteCarloSimulator(
-                OPOAOModel(), runs=12, max_hops=6, processes=3
+                OPOAOModel(), runs=12, max_hops=6, executor=executor
             ).simulate(indexed, seeds, rng=RngStream(5))
         # exec.* is pool bookkeeping (pool created, graph published) that a
         # serial run by definition never emits; the work counters must match.
@@ -48,16 +49,16 @@ class TestSerialParallelEquality:
         registry = MetricsRegistry()
         with use_registry(registry):
             ParallelMonteCarloSimulator(
-                OPOAOModel(), runs=5, max_hops=4, processes=1
+                OPOAOModel(), runs=5, max_hops=4
             ).simulate(indexed, SeedSets(rumors=[0]), rng=RngStream(6))
         assert registry.counter_value("sim.worlds") == 5
         assert registry.counter_value("sim.node_visits") > 0
 
-    def test_disabled_parent_ships_no_snapshots(self, star):
+    def test_disabled_parent_ships_no_snapshots(self, star, two_workers):
         indexed = star.to_indexed()
         assert metrics() is NULL_REGISTRY
         aggregate = ParallelMonteCarloSimulator(
-            OPOAOModel(), runs=6, max_hops=4, processes=2
+            OPOAOModel(), runs=6, max_hops=4, executor=two_workers
         ).simulate(indexed, SeedSets(rumors=[0]), rng=RngStream(9))
         assert aggregate.runs == 6
         assert NULL_REGISTRY.to_dict()["counters"] == {}

@@ -14,7 +14,7 @@ import asyncio
 import pytest
 
 from repro.exec import shm as shm_module
-from repro.exec.pool import ParallelExecutor
+from repro.exec.pool import SHARED_POOL_ENV, ParallelExecutor
 from repro.graph.generators import planted_partition
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.rng import RngStream
@@ -32,7 +32,7 @@ def build_network(seed: int = 5):
     return indexed, community
 
 
-def build_service(executor=None, workers=None):
+def build_service(executor=None):
     graph, community = build_network()
     service = RumorBlockingService(
         graph,
@@ -41,7 +41,6 @@ def build_service(executor=None, workers=None):
         seed=13,
         initial_worlds=16,
         max_worlds=32,
-        workers=workers,
         executor=executor,
     )
     return service, community
@@ -143,25 +142,29 @@ class TestConcurrentEqualsSerial:
 
 
 class TestPublicationPaths:
-    """The shared warm pool underneath must not perturb answers."""
+    """The shared warm pool underneath must not perturb answers, and
+    every seed set's store samples on that one pool and publication."""
 
-    def check_executor_matches_inline(self, share):
+    def check_executor_matches_inline(self, share, monkeypatch):
+        monkeypatch.delenv(SHARED_POOL_ENV, raising=False)
         inline_service, community = build_service()
         inline = run_serial(inline_service, community)
-        executor = ParallelExecutor(workers=2, share=share)
-        try:
-            pooled_service, _ = build_service(executor=executor, workers=2)
-            pooled = run_concurrent(pooled_service, community)
-        finally:
-            executor.close()
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with ParallelExecutor(workers=2, share=share) as executor:
+                pooled_service, _ = build_service(executor=executor)
+                pooled = run_concurrent(pooled_service, community)
         assert [strip_timing(r) for r in pooled] == [
             strip_timing(r) for r in inline
         ]
+        counters = registry.counter_values()
+        assert counters["exec.pool.created"] == 1
+        assert counters["exec.publications"] == 1
 
-    def test_pickle_publication_path(self):
-        self.check_executor_matches_inline("pickle")
+    def test_pickle_publication_path(self, monkeypatch):
+        self.check_executor_matches_inline("pickle", monkeypatch)
 
-    def test_shm_publication_path(self):
+    def test_shm_publication_path(self, monkeypatch):
         if shm_module.np is None:
             pytest.skip("shm publication requires NumPy")
-        self.check_executor_matches_inline("shm")
+        self.check_executor_matches_inline("shm", monkeypatch)

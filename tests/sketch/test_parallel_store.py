@@ -9,11 +9,11 @@ from repro.sketch.rrset import rebuild_sampler, sampler_for
 from repro.sketch.store import SketchStore
 
 
-def make_store(context, workers=None, seed=21):
+def make_store(context, executor=None, seed=21):
     sampler = sampler_for(
         "opoao", context, steps=8, rng=RngStream(seed, name="par-worlds")
     )
-    return SketchStore(sampler, workers=workers)
+    return SketchStore(sampler, executor=executor)
 
 
 def store_arrays(store):
@@ -37,9 +37,9 @@ def counters_only(registry):
 
 
 class TestStoreBitIdentity:
-    def test_two_workers_match_serial(self, fig2_context):
+    def test_two_workers_match_serial(self, fig2_context, two_workers):
         serial = make_store(fig2_context).ensure_worlds(24)
-        parallel = make_store(fig2_context, workers=2).ensure_worlds(24)
+        parallel = make_store(fig2_context, two_workers).ensure_worlds(24)
         assert parallel.worlds == serial.worlds == 24
         assert store_arrays(parallel) == store_arrays(serial)
         assert parallel.nodes() == serial.nodes()
@@ -48,33 +48,33 @@ class TestStoreBitIdentity:
                 serial.sets_containing(node)
             )
 
-    def test_doubling_rounds_match_up_front(self, fig2_context):
-        doubled = make_store(fig2_context, workers=2)
+    def test_doubling_rounds_match_up_front(self, fig2_context, two_workers):
+        doubled = make_store(fig2_context, two_workers)
         doubled.ensure_worlds(8)
         doubled.double()
         doubled.double()
         up_front = make_store(fig2_context).ensure_worlds(doubled.worlds)
         assert store_arrays(doubled) == store_arrays(up_front)
 
-    def test_sigma_identical(self, fig2_context):
+    def test_sigma_identical(self, fig2_context, two_workers):
         serial = make_store(fig2_context).ensure_worlds(16)
-        parallel = make_store(fig2_context, workers=2).ensure_worlds(16)
+        parallel = make_store(fig2_context, two_workers).ensure_worlds(16)
         probe = serial.nodes()[:3]
         assert parallel.sigma(probe) == serial.sigma(probe)
         assert parallel.per_world_covered(probe) == serial.per_world_covered(probe)
 
-    def test_deterministic_sampler_stays_serial(self, fig2_context):
+    def test_deterministic_sampler_stays_serial(self, fig2_context, two_workers):
         sampler = sampler_for("doam", fig2_context, steps=8)
-        store = SketchStore(sampler, workers=2).ensure_worlds(16)
+        store = SketchStore(sampler, executor=two_workers).ensure_worlds(16)
         assert store.worlds == 1  # one world; the pool is never engaged
 
-    def test_merged_sketch_counters_equal_serial(self, fig2_context):
+    def test_merged_sketch_counters_equal_serial(self, fig2_context, two_workers):
         serial_registry = MetricsRegistry()
         with use_registry(serial_registry):
             make_store(fig2_context).ensure_worlds(24)
         parallel_registry = MetricsRegistry()
         with use_registry(parallel_registry):
-            make_store(fig2_context, workers=2).ensure_worlds(24)
+            make_store(fig2_context, two_workers).ensure_worlds(24)
         assert counters_only(parallel_registry) == counters_only(serial_registry)
 
 
@@ -100,17 +100,17 @@ class TestRebuildSampler:
 
 
 class TestRISGreedyParity:
-    def test_selection_identical(self, fig2_context):
-        def selector(workers):
+    def test_selection_identical(self, fig2_context, two_workers):
+        def selector(executor):
             return RISGreedySelector(
                 semantics="opoao",
                 steps=8,
                 initial_worlds=16,
                 max_worlds=64,
                 rng=RngStream(31, name="ris-par"),
-                workers=workers,
+                executor=executor,
             )
 
         serial = selector(None).select(fig2_context, budget=2)
-        parallel = selector(2).select(fig2_context, budget=2)
+        parallel = selector(two_workers).select(fig2_context, budget=2)
         assert parallel == serial

@@ -20,6 +20,13 @@ class TestParser:
         args = build_parser().parse_args(["-vv", "datasets"])
         assert args.verbose == 2
 
+    @pytest.mark.parametrize("flag", ["--chunk-timeout", "--chunk-retries"])
+    def test_chunk_flags_need_workers(self, flag, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["select", "--dataset", "enron-small", flag, "3"])
+        assert raised.value.code == 2
+        assert f"{flag} needs --workers" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_datasets(self, capsys):
