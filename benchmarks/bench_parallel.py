@@ -34,7 +34,6 @@ from repro.algorithms.greedy import candidate_pool
 from repro.datasets.registry import load_dataset
 from repro.diffusion.base import SeedSets
 from repro.diffusion.opoao import OPOAOModel
-from repro.diffusion.parallel import ParallelMonteCarloSimulator
 from repro.diffusion.simulation import MonteCarloSimulator
 from repro.exec.pool import ParallelExecutor
 from repro.kernels.sigma import BatchedSigmaEvaluator
@@ -142,7 +141,7 @@ def test_parallel_sigma_throughput(instance, bench_metrics):
         with ParallelExecutor(GATE_WORKERS) as gate_executor:
             gated = make_evaluator(context, executor=gate_executor)
             gated_sigmas = gated.sigma_many(sets)
-            simulator = ParallelMonteCarloSimulator(
+            simulator = MonteCarloSimulator(
                 OPOAOModel(),
                 runs=REPLICAS,
                 max_hops=MAX_HOPS,

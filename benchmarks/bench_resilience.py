@@ -16,7 +16,7 @@ and is informational only.
 
 from repro.diffusion.base import SeedSets
 from repro.diffusion.opoao import OPOAOModel
-from repro.diffusion.parallel import ParallelMonteCarloSimulator
+from repro.diffusion.simulation import MonteCarloSimulator
 from repro.exec.pool import ParallelExecutor, split_chunks
 from repro.exec.resilience import FaultPlan
 from repro.graph.digraph import DiGraph
@@ -77,13 +77,12 @@ def test_resilience(bench_metrics, tmp_path):
     seeds = SeedSets(rumors=[0])
 
     def simulator(executor, runs, checkpoint=None):
-        return ParallelMonteCarloSimulator(
+        return MonteCarloSimulator(
             OPOAOModel(),
             runs=runs,
             max_hops=8,
-            checkpoint=checkpoint,
-            checkpoint_every=4,
             executor=executor,
+            checkpoint=checkpoint,
         )
 
     checkpoint = tmp_path / "bench.ckpt"

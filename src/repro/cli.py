@@ -835,11 +835,11 @@ def _cmd_bench(args) -> int:
         f"{args.runs} runs in {timer.elapsed:.3f}s = {rate:.1f} runs/s"
     )
     if args.workers is not None and model.stochastic:
-        from repro.diffusion.parallel import ParallelMonteCarloSimulator
+        from repro.diffusion.simulation import MonteCarloSimulator
         from repro.exec.pool import resolve_workers
 
         worker_count = resolve_workers(args.workers, args.runs)
-        simulator = ParallelMonteCarloSimulator(
+        simulator = MonteCarloSimulator(
             model,
             runs=args.runs,
             max_hops=args.hops,

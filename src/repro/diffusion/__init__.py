@@ -12,7 +12,8 @@ arrivals, and activation is progressive (no status ever reverts).
 * :mod:`repro.diffusion.ic` / :mod:`repro.diffusion.lt` — competitive
   Independent Cascade and competitive Linear Threshold, the related-work
   models ([14], [16]) provided as extensions.
-* :mod:`repro.diffusion.simulation` — Monte-Carlo runner aggregating
+* :mod:`repro.diffusion.simulation` — the Monte-Carlo replica runner
+  (serial, over a process pool, or resumed from a checkpoint) aggregating
   per-hop infected/protected counts over replicas.
 * :mod:`repro.diffusion.timestamps` — the edge-timestamp machinery of the
   submodularity proof (Section V.A.1, Fig. 1), exposed for inspection.
@@ -34,7 +35,6 @@ from repro.diffusion.doam import DOAMModel
 from repro.diffusion.ic import CompetitiveICModel
 from repro.diffusion.lt import CompetitiveLTModel
 from repro.diffusion.opoao import OPOAOModel
-from repro.diffusion.parallel import ParallelMonteCarloSimulator
 from repro.diffusion.simulation import MonteCarloSimulator, SimulationAggregate
 from repro.diffusion.trace import HopTrace
 
@@ -53,7 +53,6 @@ __all__ = [
     "CompetitiveICModel",
     "CompetitiveLTModel",
     "MonteCarloSimulator",
-    "ParallelMonteCarloSimulator",
     "SimulationAggregate",
     "HopTrace",
     "doam_arrival_times",

@@ -6,25 +6,86 @@ runs a diffusion model over many independent replica streams and
 aggregates per-hop infected/protected counts into a
 :class:`SimulationAggregate`; deterministic models (DOAM) short-circuit to
 a single run.
+
+It is the library's one replica runner. Replica ``i`` always runs on
+``rng.replica(i)``, whichever process executes it, and comes back as a
+compact :class:`ReplicaRecord`; the aggregate folds the records **in
+replica order**. So a run over a
+:class:`~repro.exec.pool.ParallelExecutor`, a serial run, and a run
+resumed from a checkpoint are bit-identical (same means, same Welford
+variance; tested in ``tests/diffusion/test_parallel.py``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from functools import partial
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.diffusion.base import (
     DEFAULT_MAX_HOPS,
+    INFECTED,
+    PROTECTED,
     DiffusionModel,
-    DiffusionOutcome,
     SeedSets,
 )
+from repro.exec.checkpoint import run_key, run_replicas
+from repro.exec.pool import ParallelExecutor
 from repro.graph.compact import IndexedDiGraph
 from repro.obs.registry import metrics
 from repro.rng import RngStream
 from repro.utils.stats import RunningStats
 from repro.utils.validation import check_positive
 
-__all__ = ["MonteCarloSimulator", "SimulationAggregate", "WorldOutcomeView"]
+__all__ = [
+    "MonteCarloSimulator",
+    "ReplicaRecord",
+    "SimulationAggregate",
+    "record_outcome",
+]
+
+
+class ReplicaRecord(NamedTuple):
+    """One replica's outcome, reduced to the integers aggregation needs.
+
+    Pool workers ship these instead of full outcome objects: the pickled
+    payload stays small and the parent rebuilds serial-identical
+    aggregates and bridge-end statistics without re-touching the states.
+    """
+
+    #: cumulative infected count at hop 0..max_hops (clamped like the trace).
+    infected_series: Tuple[int, ...]
+    #: cumulative protected count at hop 0..max_hops.
+    protected_series: Tuple[int, ...]
+    final_infected: int
+    final_protected: int
+    #: (infected, protected, untouched) counts over the requested bridge ends.
+    end_counts: Tuple[int, int, int]
+
+
+def _end_counts(states, end_ids: Sequence[int]) -> Tuple[int, int, int]:
+    """(infected, protected, untouched) final states over ``end_ids``."""
+    infected = protected = untouched = 0
+    for end in end_ids:
+        state = states[end]
+        if state == INFECTED:
+            infected += 1
+        elif state >= PROTECTED:  # any positive campaign
+            protected += 1
+        else:
+            untouched += 1
+    return infected, protected, untouched
+
+
+def record_outcome(outcome, max_hops: int, end_ids: Sequence[int]) -> ReplicaRecord:
+    """Reduce one diffusion outcome to its :class:`ReplicaRecord`."""
+    trace = outcome.trace
+    return ReplicaRecord(
+        tuple(trace.infected_at(hop) for hop in range(max_hops + 1)),
+        tuple(trace.protected_at(hop) for hop in range(max_hops + 1)),
+        outcome.infected_count,
+        outcome.protected_count,
+        _end_counts(outcome.states, end_ids),
+    )
 
 
 class SimulationAggregate:
@@ -32,6 +93,7 @@ class SimulationAggregate:
 
     Attributes:
         hops: the horizon all series are padded to.
+        records: every folded :class:`ReplicaRecord`, in replica order.
         runs: number of replicas aggregated.
         infected_per_hop: mean cumulative infected nodes at each hop
             (length ``hops + 1``; hop 0 = seeds).
@@ -42,7 +104,7 @@ class SimulationAggregate:
 
     __slots__ = (
         "hops",
-        "runs",
+        "records",
         "_infected_stats",
         "_protected_stats",
         "final_infected",
@@ -51,62 +113,29 @@ class SimulationAggregate:
 
     def __init__(self, hops: int) -> None:
         self.hops = hops
-        self.runs = 0
+        self.records: List[ReplicaRecord] = []
         self._infected_stats = [RunningStats() for _ in range(hops + 1)]
         self._protected_stats = [RunningStats() for _ in range(hops + 1)]
         self.final_infected = RunningStats()
         self.final_protected = RunningStats()
 
-    def add(self, outcome: DiffusionOutcome) -> None:
-        """Fold one run's trace into the aggregate."""
-        self.runs += 1
-        for hop in range(self.hops + 1):
-            self._infected_stats[hop].add(outcome.trace.infected_at(hop))
-            self._protected_stats[hop].add(outcome.trace.protected_at(hop))
-        self.final_infected.add(outcome.infected_count)
-        self.final_protected.add(outcome.protected_count)
+    @property
+    def runs(self) -> int:
+        return len(self.records)
 
-    def add_series(
-        self,
-        infected_series: Sequence[int],
-        protected_series: Sequence[int],
-        final_infected: int,
-        final_protected: int,
-    ) -> None:
-        """Fold one replica's pre-extracted series in.
-
-        The parallel simulator's workers ship each replica as plain
-        integer series (already clamped to ``hops + 1`` entries); folding
-        them here in replica order feeds the same values to the same
-        :class:`RunningStats` sequence as :meth:`add` would on the
-        original outcomes — the aggregate is bit-identical to serial.
-        """
-        if len(infected_series) != self.hops + 1:
+    def add(self, record: ReplicaRecord) -> None:
+        """Fold one replica's record in (call in replica order)."""
+        if len(record.infected_series) != self.hops + 1:
             raise ValueError(
                 f"series must have {self.hops + 1} entries, "
-                f"got {len(infected_series)}"
+                f"got {len(record.infected_series)}"
             )
-        self.runs += 1
+        self.records.append(record)
         for hop in range(self.hops + 1):
-            self._infected_stats[hop].add(infected_series[hop])
-            self._protected_stats[hop].add(protected_series[hop])
-        self.final_infected.add(final_infected)
-        self.final_protected.add(final_protected)
-
-    def add_batch(self, batch) -> None:
-        """Fold a kernel :class:`~repro.kernels.base.BatchOutcome` in.
-
-        Every world contributes the same per-hop cumulative series a
-        :meth:`add` call would, so mixing batched and per-run replicas in
-        one aggregate is sound.
-        """
-        for world in range(batch.batch):
-            self.runs += 1
-            for hop in range(self.hops + 1):
-                self._infected_stats[hop].add(batch.infected_at(world, hop))
-                self._protected_stats[hop].add(batch.protected_at(world, hop))
-            self.final_infected.add(batch.final_infected(world))
-            self.final_protected.add(batch.final_protected(world))
+            self._infected_stats[hop].add(record.infected_series[hop])
+            self._protected_stats[hop].add(record.protected_series[hop])
+        self.final_infected.add(record.final_infected)
+        self.final_protected.add(record.final_protected)
 
     @property
     def infected_per_hop(self) -> List[float]:
@@ -122,26 +151,6 @@ class SimulationAggregate:
         """Full stats (mean/sd/min/max) of the infected count at a hop."""
         return self._infected_stats[min(hop, self.hops)]
 
-    def merge(self, other: "SimulationAggregate") -> "SimulationAggregate":
-        """Combine two aggregates over the same horizon (parallel workers)."""
-        if other.hops != self.hops:
-            raise ValueError(
-                f"cannot merge aggregates with hops {self.hops} != {other.hops}"
-            )
-        merged = SimulationAggregate(self.hops)
-        merged.runs = self.runs + other.runs
-        merged._infected_stats = [
-            mine.merge(theirs)
-            for mine, theirs in zip(self._infected_stats, other._infected_stats)
-        ]
-        merged._protected_stats = [
-            mine.merge(theirs)
-            for mine, theirs in zip(self._protected_stats, other._protected_stats)
-        ]
-        merged.final_infected = self.final_infected.merge(other.final_infected)
-        merged.final_protected = self.final_protected.merge(other.final_protected)
-        return merged
-
     def __repr__(self) -> str:
         return (
             f"SimulationAggregate(runs={self.runs}, hops={self.hops}, "
@@ -149,20 +158,36 @@ class SimulationAggregate:
         )
 
 
-class WorldOutcomeView:
-    """One world of a kernel batch, shaped like a ``DiffusionOutcome``.
+def _simulate_setup(graph, payload):
+    """Replica-run state shared by every chunk (pool worker or in-process)."""
+    seed = payload["seed"]
+    return {
+        "model": payload["model"],
+        "graph": graph,
+        "seeds": payload["seeds"],
+        "base": None if seed is None else RngStream(seed, name="mc-replicas"),
+        "max_hops": payload["max_hops"],
+        "end_ids": payload["end_ids"],
+    }
 
-    Exposes exactly the surface callers of ``on_outcome`` consume
-    (``states`` plus the final counts), so batched simulations can feed
-    the same collection callbacks as the per-replica path.
-    """
 
-    __slots__ = ("states", "infected_count", "protected_count")
-
-    def __init__(self, batch, world: int) -> None:
-        self.states = batch.states_row(world)
-        self.infected_count = batch.final_infected(world)
-        self.protected_count = batch.final_protected(world)
+def _simulate_chunk(state, replica_indices) -> List[ReplicaRecord]:
+    """Run a chunk of replicas on their index streams."""
+    model: DiffusionModel = state["model"]
+    base = state["base"]
+    records = []
+    for replica_index in replica_indices:
+        outcome = model.run(
+            state["graph"],
+            state["seeds"],
+            rng=None if base is None else base.replica(replica_index),
+            max_hops=state["max_hops"],
+        )
+        records.append(record_outcome(outcome, state["max_hops"], state["end_ids"]))
+    registry = metrics()
+    if registry.enabled:
+        registry.counter("sim.worlds").add(len(replica_indices))
+    return records
 
 
 class MonteCarloSimulator:
@@ -177,6 +202,14 @@ class MonteCarloSimulator:
             path); a kernel backend name (``"python"``/``"numpy"``/
             ``"auto"``) races all replicas in one batched kernel call
             instead. The model must be reducible to a kernel spec.
+        executor: the :class:`~repro.exec.pool.ParallelExecutor` whose
+            warm pool runs the per-replica path's replicas; ``None``
+            runs them serially in-process. Ignored with ``backend``.
+        checkpoint: a path or :class:`~repro.exec.checkpoint.\
+            CheckpointStore`; the per-replica path of a stochastic model
+            saves its replica batches under kind ``"mc"`` and resumes a
+            matching saved prefix bit-identically. Ignored with
+            ``backend`` or a deterministic model.
 
     Example:
         >>> # doctest setup omitted; see tests/diffusion/test_simulation.py
@@ -188,18 +221,22 @@ class MonteCarloSimulator:
         runs: int = 200,
         max_hops: int = DEFAULT_MAX_HOPS,
         backend: Optional[str] = None,
+        executor: Optional[ParallelExecutor] = None,
+        checkpoint=None,
     ) -> None:
         self.model = model
         self.runs = int(check_positive(runs, "runs"))
         self.max_hops = int(check_positive(max_hops, "max_hops"))
         self.backend = backend
+        self.checkpoint = checkpoint
+        self._executor = executor
 
     def _simulate_batched(
         self,
         graph: IndexedDiGraph,
         seeds: SeedSets,
         rng: Optional[RngStream],
-        on_outcome: Optional[Callable],
+        end_ids: Sequence[int],
     ) -> SimulationAggregate:
         # Imported here (and from the leaf modules) so the zero-dependency
         # per-replica path never touches the kernels package.
@@ -224,12 +261,17 @@ class MonteCarloSimulator:
                 graph, spec, worlds, seeds, self.max_hops
             )
         aggregate = SimulationAggregate(self.max_hops)
-        aggregate.add_batch(outcome)
+        hops = range(self.max_hops + 1)
+        for world in range(batch):
+            aggregate.add(ReplicaRecord(
+                tuple(outcome.infected_at(world, hop) for hop in hops),
+                tuple(outcome.protected_at(world, hop) for hop in hops),
+                outcome.final_infected(world),
+                outcome.final_protected(world),
+                _end_counts(outcome.states[world], end_ids),
+            ))
         if registry.enabled:
             registry.counter("sim.worlds").add(batch)
-        if on_outcome is not None:
-            for world in range(batch):
-                on_outcome(WorldOutcomeView(outcome, world))
         return aggregate
 
     def simulate(
@@ -237,7 +279,7 @@ class MonteCarloSimulator:
         graph: IndexedDiGraph,
         seeds: SeedSets,
         rng: Optional[RngStream] = None,
-        on_outcome: Optional[Callable[[DiffusionOutcome], None]] = None,
+        end_ids: Sequence[int] = (),
     ) -> SimulationAggregate:
         """Run the configured number of replicas and aggregate.
 
@@ -247,38 +289,69 @@ class MonteCarloSimulator:
             rng: base stream; replica ``i`` runs on ``rng.replica(i)`` so
                 results are independent of iteration order. Required for
                 stochastic models.
-            on_outcome: optional callback invoked with every outcome
-                (used by the evaluator to collect extra statistics without
-                a second pass). On the batched path the callback receives
-                a :class:`WorldOutcomeView` per world.
-        """
-        if self.backend is not None:
-            return self._simulate_batched(graph, seeds, rng, on_outcome)
-        registry = metrics()
-        aggregate = SimulationAggregate(self.max_hops)
-        if not self.model.stochastic:
-            with registry.timer("time.simulate"):
-                outcome = self.model.run(graph, seeds, rng=None, max_hops=self.max_hops)
-            aggregate.add(outcome)
-            if registry.enabled:
-                registry.counter("sim.worlds").add(1)
-            if on_outcome is not None:
-                on_outcome(outcome)
-            return aggregate
+            end_ids: bridge ends whose final states every record
+                classifies (``ReplicaRecord.end_counts``).
 
-        if rng is None:
+        Returns:
+            the aggregate, with every replica's record in
+            ``aggregate.records`` (replica order).
+        """
+        end_ids = tuple(end_ids)
+        if self.backend is not None:
+            return self._simulate_batched(graph, seeds, rng, end_ids)
+        stochastic = self.model.stochastic
+        if stochastic and rng is None:
             raise ValueError(f"{self.model.name} is stochastic and needs an RngStream")
-        with registry.timer("time.simulate"):
-            for replica_index in range(self.runs):
-                outcome = self.model.run(
-                    graph, seeds, rng=rng.replica(replica_index), max_hops=self.max_hops
-                )
-                aggregate.add(outcome)
-                if on_outcome is not None:
-                    on_outcome(outcome)
-        if registry.enabled:
-            registry.counter("sim.worlds").add(self.runs)
+        payload = {
+            "model": self.model,
+            "seeds": seeds,
+            "seed": rng.seed if stochastic and rng is not None else None,
+            "max_hops": self.max_hops,
+            "end_ids": end_ids,
+        }
+        if self._executor is None:
+            run_range = partial(_simulate_chunk, _simulate_setup(graph, payload))
+        else:
+            run_range = partial(
+                self._executor.map_items,
+                _simulate_setup,
+                _simulate_chunk,
+                payload,
+                graph=graph,
+            )
+        with metrics().timer("time.simulate"):
+            records = run_replicas(
+                run_range,
+                self.runs if stochastic else 1,
+                self.checkpoint if stochastic else None,
+                "mc",
+                lambda: self._checkpoint_key(graph, seeds, rng, end_ids),
+                make=ReplicaRecord._make,
+            )
+        aggregate = SimulationAggregate(self.max_hops)
+        for record in records:
+            aggregate.add(record)
         return aggregate
+
+    def _checkpoint_key(self, graph, seeds, rng, end_ids) -> str:
+        """Run-key fingerprint for Monte-Carlo checkpoints (sans runs).
+
+        Every cascade seed set and the priority order are part of the key:
+        a checkpoint written for a different cascade configuration (or by
+        the pre-K-cascade engine, which keyed only rumors/protectors) must
+        raise rather than silently seed a foreign resume.
+        """
+        return run_key(
+            kind="mc",
+            model=self.model.name,
+            seed=rng.seed,
+            max_hops=self.max_hops,
+            nodes=graph.node_count,
+            edges=graph.edge_count,
+            cascades=[sorted(cascade) for cascade in seeds.cascades],
+            priority=list(seeds.priority),
+            ends=list(end_ids),
+        )
 
     def __repr__(self) -> str:
         backend = f", backend={self.backend!r}" if self.backend else ""

@@ -21,7 +21,8 @@ keeping results **bit-identical** to a serial run:
   the ``REPRO_EXEC_FAULTS`` environment variable;
 * :class:`~repro.exec.checkpoint.CheckpointStore` persists the long
   loops' round state as ``repro.ckpt/v1`` JSON so interrupted runs
-  resume bit-identical.
+  resume bit-identical; :func:`~repro.exec.checkpoint.run_replicas` is
+  the one resume/run/save loop every replica sweep goes through.
 
 See ``docs/parallel.md`` for the determinism contract and the failure
 semantics.
@@ -36,7 +37,6 @@ from repro.exec.checkpoint import (
 from repro.exec.pool import (
     ParallelExecutor,
     resolve_workers,
-    shutdown_shared_pools,
     split_chunks,
     split_even,
 )
@@ -56,7 +56,6 @@ __all__ = [
     "publish_graph",
     "resolve_workers",
     "run_key",
-    "shutdown_shared_pools",
     "split_chunks",
     "split_even",
 ]

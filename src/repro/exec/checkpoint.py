@@ -1,12 +1,16 @@
 """JSON checkpointing for the library's long loops.
 
 Three loops dominate production wall-clock time: greedy/CELF selection
-rounds, :class:`~repro.sketch.store.SketchStore` doubling, and
-Monte-Carlo replica sweeps. All three are *prefix-deterministic* — the
-state after round ``k`` is a pure function of the run configuration —
-so a crash-interrupted run can resume from its last completed round and
-still finish bit-identical to an uninterrupted one (asserted in
+rounds, :class:`~repro.sketch.store.SketchStore` doubling, and the
+Monte-Carlo replica sweeps. All are *prefix-deterministic* — the state
+after round ``k`` is a pure function of the run configuration — so a
+crash-interrupted run can resume from its last completed round and still
+finish bit-identical to an uninterrupted one (asserted in
 ``tests/exec/test_checkpoint.py``; contract in ``docs/parallel.md``).
+
+Every replica sweep — diffusion Monte-Carlo, gossip, impressions — goes
+through :func:`run_replicas`: it resumes a saved prefix, runs the rest
+in batches of :data:`REPLICA_BATCH` replicas, and saves after each.
 
 File format (``repro.ckpt/v1``)::
 
@@ -18,14 +22,14 @@ File format (``repro.ckpt/v1``)::
     }
 
 One file holds one entry per loop *kind* (``greedy``, ``sketch``,
-``mc``), so a ``repro simulate --checkpoint run.ckpt`` pipeline can
-checkpoint its selection stage and its evaluation stage side by side.
-Each entry carries the :func:`run_key` fingerprint of the configuration
-that wrote it; loading an entry whose key differs from the resuming
-run's raises :class:`~repro.errors.CheckpointError` rather than quietly
-resuming from foreign state. Writes are atomic (temp file +
-``os.replace``), so a crash mid-save leaves the previous checkpoint
-intact.
+``mc``, ``gossip``, ``impressions``), so a ``repro simulate --checkpoint
+run.ckpt`` pipeline can checkpoint its selection stage and its
+evaluation stage side by side. Each entry carries the :func:`run_key`
+fingerprint of the configuration that wrote it; loading an entry whose
+key differs from the resuming run's raises
+:class:`~repro.errors.CheckpointError` rather than quietly resuming from
+foreign state. Writes are atomic (temp file + ``os.replace``), so a
+crash mid-save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -34,14 +38,25 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import CheckpointError
+from repro.obs.registry import metrics
 
-__all__ = ["CHECKPOINT_SCHEMA", "CheckpointStore", "as_store", "run_key"]
+__all__ = [
+    "CHECKPOINT_SCHEMA",
+    "REPLICA_BATCH",
+    "CheckpointStore",
+    "as_store",
+    "run_key",
+    "run_replicas",
+]
 
 #: schema tag written into (and required of) every checkpoint file.
 CHECKPOINT_SCHEMA = "repro.ckpt/v1"
+
+#: replicas per saved batch of a checkpointed :func:`run_replicas` sweep.
+REPLICA_BATCH = 64
 
 
 def run_key(**parts: Any) -> str:
@@ -176,3 +191,51 @@ def as_store(
     if checkpoint is None or isinstance(checkpoint, CheckpointStore):
         return checkpoint
     return CheckpointStore(checkpoint, resume=True)
+
+
+def run_replicas(
+    run_range: Callable[[List[int]], Sequence[Any]],
+    runs: int,
+    checkpoint: Union[str, os.PathLike, CheckpointStore, None],
+    kind: str,
+    key: Callable[[], str],
+    make: Callable[[Iterable[Any]], Any] = tuple,
+    field: str = "records",
+) -> List[Any]:
+    """Records of replicas ``0 .. runs - 1`` in replica order.
+
+    ``run_range(indices)`` returns one record (a tuple of ints and int
+    tuples, typically a ``NamedTuple``) per index. Without a checkpoint
+    it runs once over every index. With one, a saved ``kind`` entry
+    whose run key matches ``key()`` seeds the prefix (counted in
+    ``exec.resumed_rounds``), and the rest runs in batches of
+    :data:`REPLICA_BATCH`, saving after each. ``runs`` is outside the
+    key on purpose: replica ``i`` is a pure function of its index, so a
+    shorter run's prefix seeds a longer one and a longer one truncates.
+
+    The entry's state is ``{field: rows}``, one JSON row per record
+    with tuple fields written as lists; ``make`` rebuilds a record from
+    a row (``SomeRecord._make`` for a ``NamedTuple``).
+    """
+    store = as_store(checkpoint)
+    if store is None:
+        return list(run_range(list(range(runs))))
+    entry_key = key()
+    records: List[Any] = []
+    entry = store.load(kind, entry_key)
+    if entry is not None:
+        records = [
+            make(tuple(value) if isinstance(value, list) else value for value in row)
+            for row in entry["state"][field][:runs]
+        ]
+        if records:
+            metrics().inc("exec.resumed_rounds", len(records))
+    while len(records) < runs:
+        stop = min(runs, len(records) + REPLICA_BATCH)
+        records.extend(run_range(list(range(len(records), stop))))
+        rows = [
+            [list(value) if isinstance(value, tuple) else value for value in record]
+            for record in records
+        ]
+        store.save(kind, entry_key, {field: rows}, rounds=len(records))
+    return records

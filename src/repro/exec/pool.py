@@ -78,20 +78,13 @@ The pool start method is the platform default (``fork`` on Linux);
 worker state lives in the module-level ``_WORKER_STATE`` dict, which the
 pool initializer clears — a forked worker inherits the parent's (or a
 previous pool's) module state, and stale entries must never leak into a
-new pool (regression-tested in ``tests/exec/test_pool.py``). Because
-workers are otherwise generic (graph handles and task specs ride inside
-the chunk messages, keyed by tokens), pools can optionally be shared
-process-wide: with ``REPRO_EXEC_SHARED_POOL=1`` every executor borrows
-one pool per worker-count from a module cache instead of owning its own
-— the CI leg that runs whole test suites against a single long-lived
-pool uses exactly this.
+new pool (regression-tested in ``tests/exec/test_pool.py``).
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
-import os
 import pickle
 import time
 import weakref
@@ -107,7 +100,6 @@ __all__ = [
     "resolve_workers",
     "split_chunks",
     "split_even",
-    "shutdown_shared_pools",
 ]
 
 #: chunks each worker should see across a map, on average; more chunks
@@ -124,11 +116,6 @@ TARGET_CHUNK_SECONDS = 0.05
 #: default retry budget per map (attempts = retries + 1).
 DEFAULT_RETRIES = 2
 
-#: environment flag: when set (and not "0"), executors borrow pools
-#: from a process-wide cache keyed by worker count instead of owning
-#: one each — pool reuse across executors and test cases.
-SHARED_POOL_ENV = "REPRO_EXEC_SHARED_POOL"
-
 # Per-worker state: the materialised graph (keyed by publication token)
 # and the consumer's task state (keyed by spec token). Module-level so
 # the (picklable) _run_chunk function can reach it.
@@ -136,13 +123,9 @@ _WORKER_STATE: Dict[str, Any] = {}
 
 # Process-unique tokens for graph publications and task specs. Workers
 # key their caches on these, so they must never collide across
-# executors (pools can be shared process-wide).
+# executors.
 _GRAPH_TOKENS = itertools.count(1)
 _SPEC_TOKENS = itertools.count(1)
-
-# Process-wide pool cache used when REPRO_EXEC_SHARED_POOL is set,
-# keyed by worker count. Poisoned pools are evicted on discard.
-_SHARED_POOLS: Dict[int, Any] = {}
 
 #: sentinel distinguishing "no graph seen yet" from a ``None`` graph.
 _UNSET = object()
@@ -306,18 +289,6 @@ def _run_chunk(message) -> Tuple[int, Optional[BaseException], Any, Optional[dic
         return index, _shippable(exc), None, None
 
 
-def _shared_pools_enabled() -> bool:
-    return os.environ.get(SHARED_POOL_ENV, "") not in ("", "0")
-
-
-def shutdown_shared_pools() -> None:
-    """Terminate and drop every pool in the process-wide shared cache."""
-    while _SHARED_POOLS:
-        _, pool = _SHARED_POOLS.popitem()
-        pool.terminate()
-        pool.join()
-
-
 def _release_executor_resources(resources: Dict[str, Any]) -> None:
     """Finalizer target: terminate an owned pool, close the publication.
 
@@ -387,7 +358,7 @@ class ParallelExecutor:
 
     __slots__ = (
         "workers", "share", "timeout", "retries", "degrade", "faults",
-        "_pool", "_pool_size", "_pool_shared",
+        "_pool",
         "_publication", "_graph", "_graph_version", "_graph_handle",
         "_graph_token", "_spec_key", "_spec_token",
         "_inline_key", "_inline_graph", "_inline_version", "_inline_state",
@@ -415,8 +386,6 @@ class ParallelExecutor:
         self.degrade = bool(degrade)
         self.faults = faults
         self._pool = None
-        self._pool_size = 0
-        self._pool_shared = False
         self._publication = None
         self._graph: Any = _UNSET
         self._graph_version: Optional[int] = None
@@ -441,11 +410,10 @@ class ParallelExecutor:
 
         Idempotent, and not terminal: a later map lazily rebuilds
         whatever it needs, so ``close()`` between workloads simply
-        returns the executor to its cold state. Shared pools (see
-        :data:`SHARED_POOL_ENV`) are left running for other borrowers.
+        returns the executor to its cold state.
         """
         pool, self._pool = self._pool, None
-        if pool is not None and not self._pool_shared:
+        if pool is not None:
             pool.terminate()
             pool.join()
         self._resources["pool"] = None
@@ -548,24 +516,16 @@ class ParallelExecutor:
         pending: Dict[int, Any] = dict(enumerate(chunks))
         last_errors: Dict[int, BaseException] = {}
         pool_failures = 0
-
-        try:
-            with registry.timer("time.exec.pool"):
-                for attempt in range(self.retries + 1):
-                    if not pending:
-                        break
-                    if attempt > 0:
-                        registry.counter("exec.chunks.retried").add(len(pending))
-                    pool_failures += self._run_attempt(
-                        spec, registry, attempt, pending, results,
-                        snapshots, last_errors,
-                    )
-        finally:
-            if self._pool_shared:
-                # Borrowed pools go back to the cache between maps so a
-                # later eviction (poisoned pool) can't strand a stale
-                # reference here.
-                self._pool = None
+        with registry.timer("time.exec.pool"):
+            for attempt in range(self.retries + 1):
+                if not pending:
+                    break
+                if attempt > 0:
+                    registry.counter("exec.chunks.retried").add(len(pending))
+                pool_failures += self._run_attempt(
+                    spec, registry, attempt, pending, results,
+                    snapshots, last_errors,
+                )
 
         if pending:
             first = min(pending)
@@ -713,36 +673,20 @@ class ParallelExecutor:
         )
 
     def _ensure_pool(self, registry):
-        """Return the live pool, creating (or borrowing) one if needed."""
-        if self._pool is not None:
-            return self._pool
-        size = resolve_workers(self.workers)
-        shared = _shared_pools_enabled()
-        if shared:
-            pool = _SHARED_POOLS.get(size)
-            if pool is not None:
-                self._pool = pool
-                self._pool_size = size
-                self._pool_shared = True
-                return pool
-        pool = multiprocessing.Pool(processes=size, initializer=_init_worker)
-        registry.counter("exec.pool.created").add(1)
-        self._pool = pool
-        self._pool_size = size
-        self._pool_shared = shared
-        if shared:
-            _SHARED_POOLS[size] = pool
-        else:
-            self._resources["pool"] = pool
-        return pool
+        """Return the live pool, creating one if needed."""
+        if self._pool is None:
+            self._pool = multiprocessing.Pool(
+                processes=resolve_workers(self.workers), initializer=_init_worker
+            )
+            registry.counter("exec.pool.created").add(1)
+            self._resources["pool"] = self._pool
+        return self._pool
 
     def _discard_pool(self) -> None:
         """Terminate a poisoned pool (hung or killed workers) and forget it."""
         pool, self._pool = self._pool, None
         if pool is None:
             return
-        if self._pool_shared and _SHARED_POOLS.get(self._pool_size) is pool:
-            del _SHARED_POOLS[self._pool_size]
         self._resources["pool"] = None
         pool.terminate()
         pool.join()

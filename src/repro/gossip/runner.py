@@ -1,25 +1,26 @@
 """Replica fan-out for the gossip engine.
 
 Gossip replicas never communicate, so they parallelise exactly like the
-diffusion Monte-Carlo loop (:mod:`repro.diffusion.parallel`): replica
+diffusion Monte-Carlo loop (:mod:`repro.diffusion.simulation`): replica
 ``i`` always runs on ``rng.replica(i)`` no matter which worker executes
 it, workers ship compact :class:`GossipReplicaRecord` rows home, and the
 parent folds them into the :class:`GossipAggregate` in replica order —
-serial (no executor: the pool's inline path) and parallel runs are
-bit-identical.
+serial (no executor: in-process) and parallel runs are bit-identical.
 
 Completed replica batches checkpoint through
-:mod:`repro.exec.checkpoint` under kind ``"gossip"``; ``runs`` is kept
-out of the run-key on purpose so a shorter run's prefix seeds a longer
-one. Workers report ``gossip.*`` counters, a ``gossip.final_infected``
-histogram, and a ``gossip.residual_infected`` gauge (max over replicas)
-through the pool's snapshot-merge protocol.
+:func:`repro.exec.checkpoint.run_replicas` under kind ``"gossip"``;
+``runs`` is kept out of the run-key on purpose so a shorter run's prefix
+seeds a longer one. Workers report ``gossip.*`` counters, a
+``gossip.final_infected`` histogram, and a ``gossip.residual_infected``
+gauge (max over replicas) through the pool's snapshot-merge protocol.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.exec.checkpoint import run_key, run_replicas
 from repro.exec.pool import ParallelExecutor
 from repro.gossip.config import GossipConfig
 from repro.gossip.sim import MESSAGE_KINDS, GossipEngine, GossipOutcome
@@ -147,37 +148,6 @@ class GossipAggregate:
         )
 
 
-def _records_to_state(records: List[GossipReplicaRecord]) -> dict:
-    """JSON-serialisable checkpoint state for a replica-record prefix."""
-    return {
-        "records": [
-            [
-                record.final_infected,
-                record.final_protected,
-                list(record.messages),
-                record.events,
-                record.rounds,
-                list(record.infected_series),
-            ]
-            for record in records
-        ]
-    }
-
-
-def _records_from_state(state: dict) -> List[GossipReplicaRecord]:
-    return [
-        GossipReplicaRecord(
-            int(row[0]),
-            int(row[1]),
-            tuple(int(value) for value in row[2]),
-            int(row[3]),
-            int(row[4]),
-            tuple(int(value) for value in row[5]),
-        )
-        for row in state["records"]
-    ]
-
-
 def _gossip_worker_setup(graph, payload):
     """Pool worker set-up: shared replica-run state (uncounted)."""
     return {
@@ -232,11 +202,10 @@ class GossipMonteCarlo:
             :class:`~repro.exec.checkpoint.CheckpointStore`; completed
             replica batches are saved under kind ``"gossip"`` and a
             matching checkpoint resumes after its prefix bit-identically.
-        checkpoint_every: replicas per checkpointed batch.
         executor: the :class:`~repro.exec.pool.ParallelExecutor` whose
             warm pool every batch of every :meth:`run` call (e.g. a
             blocking scenario's strategy panels) reuses. ``None`` runs
-            serially, through an inline executor.
+            serially, in-process.
     """
 
     def __init__(
@@ -244,16 +213,12 @@ class GossipMonteCarlo:
         config: GossipConfig,
         runs: int = 100,
         checkpoint=None,
-        checkpoint_every: int = 32,
         executor: Optional[ParallelExecutor] = None,
     ) -> None:
         self.config = config
         self.runs = int(check_positive(runs, "runs"))
         self.checkpoint = checkpoint
-        self.checkpoint_every = int(
-            check_positive(checkpoint_every, "checkpoint_every")
-        )
-        self._executor = executor if executor is not None else ParallelExecutor()
+        self._executor = executor
 
     def run(
         self,
@@ -278,52 +243,33 @@ class GossipMonteCarlo:
             raise ValueError("gossip replicas are stochastic and need an RngStream")
         rumors = tuple(int(node) for node in rumors)
         protectors = tuple(int(node) for node in protectors)
-        registry = metrics()
         payload = {
             "config": self.config.to_dict(),
             "rumors": rumors,
             "protectors": protectors,
             "seed": rng.seed,
         }
-        from repro.exec.checkpoint import as_store
-
-        ckpt = as_store(self.checkpoint)
-        records: List[GossipReplicaRecord] = []
-        key = ""
-        if ckpt is not None:
-            key = self._checkpoint_key(graph, rumors, protectors, rng)
-            entry = ckpt.load("gossip", key)
-            if entry is not None:
-                # ``runs`` is outside the key on purpose: replica i is a
-                # pure function of rng.replica(i), so a shorter run's
-                # prefix seeds a longer one (and a longer one truncates).
-                records = _records_from_state(entry["state"])[: self.runs]
-                if records:
-                    registry.inc("exec.resumed_rounds", len(records))
-        with registry.timer("time.gossip.replicas"):
-            start = len(records)
-            while start < self.runs:
-                stop = (
-                    self.runs
-                    if ckpt is None
-                    else min(self.runs, start + self.checkpoint_every)
-                )
-                indices = list(range(start, stop))
-                records.extend(self._executor.map_items(
-                    _gossip_worker_setup,
-                    _gossip_worker_chunk,
-                    payload,
-                    indices,
-                    graph=graph,
-                ))
-                start = stop
-                if ckpt is not None:
-                    ckpt.save(
-                        "gossip",
-                        key,
-                        _records_to_state(records),
-                        rounds=len(records),
-                    )
+        if self._executor is None:
+            run_range = partial(
+                _gossip_worker_chunk, _gossip_worker_setup(graph, payload)
+            )
+        else:
+            run_range = partial(
+                self._executor.map_items,
+                _gossip_worker_setup,
+                _gossip_worker_chunk,
+                payload,
+                graph=graph,
+            )
+        with metrics().timer("time.gossip.replicas"):
+            records = run_replicas(
+                run_range,
+                self.runs,
+                self.checkpoint,
+                "gossip",
+                lambda: self._checkpoint_key(graph, rumors, protectors, rng),
+                make=GossipReplicaRecord._make,
+            )
         aggregate = GossipAggregate(self.config.max_rounds)
         for record in records:  # replica order -> bit-identical to serial
             aggregate.add_record(record)
@@ -331,8 +277,6 @@ class GossipMonteCarlo:
 
     def _checkpoint_key(self, graph, rumors, protectors, rng) -> str:
         """Run-key fingerprint for gossip checkpoints (sans runs)."""
-        from repro.exec.checkpoint import run_key
-
         return run_key(
             kind="gossip",
             config=self.config.to_dict(),

@@ -14,14 +14,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.algorithms.base import SelectionContext
-from repro.diffusion.base import (
-    DEFAULT_MAX_HOPS,
-    INFECTED,
-    PROTECTED,
-    DiffusionModel,
-    DiffusionOutcome,
-    SeedSets,
-)
+from repro.diffusion.base import DEFAULT_MAX_HOPS, DiffusionModel, SeedSets
 from repro.diffusion.simulation import MonteCarloSimulator, SimulationAggregate
 from repro.errors import SeedError
 from repro.graph.digraph import Node
@@ -140,10 +133,8 @@ def evaluate_protectors(
         backend: optional kernel backend name for batched simulation
             (see :class:`~repro.diffusion.simulation.MonteCarloSimulator`).
         checkpoint: a path or :class:`~repro.exec.checkpoint.\
-            CheckpointStore` for the per-replica path's replica batches
-            (see :class:`~repro.diffusion.parallel.\
-ParallelMonteCarloSimulator`); ignored with ``backend`` or a
-            deterministic model.
+            CheckpointStore` for the per-replica path's replica batches;
+            ignored with ``backend`` or a deterministic model.
         executor: a :class:`~repro.exec.pool.ParallelExecutor` for
             process-parallel replicas — e.g. the one the CLI already
             warmed during selection, so evaluation reuses its pool and
@@ -155,71 +146,17 @@ ParallelMonteCarloSimulator`); ignored with ``backend`` or a
     protector_ids = resolve_seed_labels(indexed, protectors, "protector")
     seeds = SeedSets(rumors=context.rumor_seed_ids(), protectors=protector_ids)
     end_ids = context.bridge_end_ids()
-
-    if backend is None and model.stochastic:
-        from repro.exec.pool import resolve_workers
-
-        pooled = (
-            executor is not None and resolve_workers(executor.workers, runs) > 1
-        )
-        if pooled or checkpoint is not None:
-            return _evaluate_replicas(
-                indexed, seeds, end_ids, model, runs, max_hops, rng,
-                checkpoint=checkpoint, executor=executor,
-            )
-
     simulator = MonteCarloSimulator(
-        model, runs=runs, max_hops=max_hops, backend=backend
-    )
-    result = EvaluationResult(
-        SimulationAggregate(max_hops), bridge_total=len(end_ids)
-    )
-
-    def collect(outcome: DiffusionOutcome) -> None:
-        result.final_infected_samples.append(outcome.infected_count)
-        infected = protected = untouched = 0
-        for end in end_ids:
-            state = outcome.states[end]
-            if state == INFECTED:
-                infected += 1
-            elif state >= PROTECTED:  # any positive campaign
-                protected += 1
-            else:
-                untouched += 1
-        result.bridge_infected.add(infected)
-        result.bridge_protected.add(protected)
-        result.bridge_untouched.add(untouched)
-
-    result.aggregate = simulator.simulate(indexed, seeds, rng=rng, on_outcome=collect)
-    return result
-
-
-def _evaluate_replicas(
-    indexed, seeds, end_ids, model, runs, max_hops, rng,
-    checkpoint=None, executor=None,
-) -> EvaluationResult:
-    """Evaluation through the replica runner, bit-identical to the serial path.
-
-    The runner fans replicas out over ``executor`` (inline without one)
-    and checkpoints their batches. It ships per-replica
-    :class:`~repro.diffusion.parallel.ReplicaRecord` data; folding it
-    here in replica order feeds the exact per-replica values the serial
-    ``collect`` callback would have seen.
-    """
-    from repro.diffusion.parallel import ParallelMonteCarloSimulator
-
-    simulator = ParallelMonteCarloSimulator(
         model,
         runs=runs,
         max_hops=max_hops,
-        checkpoint=checkpoint,
+        backend=backend,
         executor=executor,
+        checkpoint=checkpoint,
     )
-    aggregate, records = simulator.simulate_detailed(
-        indexed, seeds, rng=rng, end_ids=end_ids
-    )
+    aggregate = simulator.simulate(indexed, seeds, rng=rng, end_ids=end_ids)
     result = EvaluationResult(aggregate, bridge_total=len(end_ids))
-    for record in records:
+    for record in aggregate.records:
         result.final_infected_samples.append(record.final_infected)
         infected, protected, untouched = record.end_counts
         result.bridge_infected.add(infected)

@@ -44,7 +44,9 @@ from repro.diffusion.base import (
     DiffusionModel,
     SeedSets,
 )
+from repro.diffusion.simulation import MonteCarloSimulator
 from repro.errors import SeedError, ValidationError
+from repro.exec.checkpoint import run_key, run_replicas
 from repro.graph.compact import IndexedDiGraph
 from repro.graph.digraph import Node
 from repro.lcrb.evaluation import resolve_seed_labels
@@ -309,20 +311,11 @@ class DistributedBlockingScenario:
         rng: RngStream,
     ) -> Tuple[float, List[float]]:
         """Mean final rumor count + mean infected-per-hop series."""
-        final = RunningStats()
-        per_hop = [RunningStats() for _ in range(self.max_hops + 1)]
-        replicas = self.runs if self.model.stochastic else 1
-        for replica in range(replicas):
-            outcome = self.model.run(
-                indexed,
-                seeds,
-                rng=rng.replica(replica) if self.model.stochastic else None,
-                max_hops=self.max_hops,
-            )
-            final.add(outcome.trace.cascade_at(0, self.max_hops))
-            for hop in range(self.max_hops + 1):
-                per_hop[hop].add(outcome.trace.cascade_at(0, hop))
-        return final.mean, [stats.mean for stats in per_hop]
+        simulator = MonteCarloSimulator(
+            self.model, runs=self.runs, max_hops=self.max_hops
+        )
+        series = simulator.simulate(indexed, seeds, rng=rng).infected_per_hop
+        return series[-1], series
 
     def run(
         self, context: SelectionContext, rng: RngStream
@@ -515,7 +508,6 @@ class ImpressionScenario:
             sets, priority, weights, and threshold — a checkpoint from
             any other configuration refuses to resume. ``runs`` stays
             outside the key, so a shorter run's prefix seeds a longer one.
-        checkpoint_every: replicas per checkpointed batch.
     """
 
     def __init__(
@@ -527,7 +519,6 @@ class ImpressionScenario:
         max_hops: int = DEFAULT_MAX_HOPS,
         priority: Union[str, Sequence[int]] = "positives-first",
         checkpoint=None,
-        checkpoint_every: int = 64,
     ) -> None:
         self.model = model
         self.weights = [float(weight) for weight in weights]
@@ -545,9 +536,6 @@ class ImpressionScenario:
         self.max_hops = int(check_positive(max_hops, "max_hops"))
         self.priority = priority
         self.checkpoint = checkpoint
-        self.checkpoint_every = int(
-            check_positive(checkpoint_every, "checkpoint_every")
-        )
 
     def build_seeds(
         self, context: SelectionContext, campaigns: Sequence[Iterable[Node]]
@@ -565,8 +553,6 @@ class ImpressionScenario:
         return CascadeSet([rumor_ids] + campaign_ids, priority=self.priority)
 
     def _run_key(self, indexed: IndexedDiGraph, seeds: CascadeSet, rng) -> str:
-        from repro.exec.checkpoint import run_key
-
         return run_key(
             kind="impressions",
             model=self.model.name,
@@ -589,47 +575,31 @@ class ImpressionScenario:
         """Race the cascades ``runs`` times and aggregate domination."""
         indexed = context.indexed
         seeds = self.build_seeds(context, campaigns)
-        replicas = self.runs if self.model.stochastic else 1
+        stochastic = self.model.stochastic
 
-        from repro.exec.checkpoint import as_store
-
-        ckpt = as_store(self.checkpoint)
-        rows: List[List[int]] = []  # [dominated, *cascade_counts] per run
-        key = ""
-        if ckpt is not None:
-            key = self._run_key(indexed, seeds, rng)
-            entry = ckpt.load("impressions", key)
-            if entry is not None:
-                rows = [
-                    [int(value) for value in row]
-                    for row in entry["state"]["rows"][:replicas]
-                ]
-
-        while len(rows) < replicas:
-            stop = (
-                replicas
-                if ckpt is None
-                else min(replicas, len(rows) + self.checkpoint_every)
-            )
-            for replica in range(len(rows), stop):
+        def run_range(indices: List[int]) -> List[Tuple[int, ...]]:
+            rows = []  # (dominated, *cascade_counts) per replica
+            for replica in indices:
                 outcome = self.model.run(
                     indexed,
                     seeds,
-                    rng=rng.replica(replica) if self.model.stochastic else None,
+                    rng=rng.replica(replica) if stochastic else None,
                     max_hops=self.max_hops,
                 )
-                rows.append(
-                    [
-                        dominated_count(
-                            indexed, outcome.states, self.weights, self.threshold
-                        )
-                    ]
-                    + outcome.cascade_counts()
+                dominated = dominated_count(
+                    indexed, outcome.states, self.weights, self.threshold
                 )
-            if ckpt is not None:
-                ckpt.save(
-                    "impressions", key, {"rows": rows}, rounds=len(rows)
-                )
+                rows.append((dominated, *outcome.cascade_counts()))
+            return rows
+
+        rows = run_replicas(
+            run_range,
+            self.runs if stochastic else 1,
+            self.checkpoint,
+            "impressions",
+            lambda: self._run_key(indexed, seeds, rng),
+            field="rows",
+        )
 
         dominated = RunningStats()
         cascade_totals = [0.0] * seeds.cascade_count

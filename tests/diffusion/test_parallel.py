@@ -1,20 +1,21 @@
-"""Unit tests for the parallel Monte-Carlo simulator."""
+"""The Monte-Carlo simulator over a process pool: serial-identical records."""
 
 import pytest
 
 from repro.diffusion.base import INFECTED, PROTECTED, SeedSets
 from repro.diffusion.doam import DOAMModel
 from repro.diffusion.opoao import OPOAOModel
-from repro.diffusion.parallel import (
-    ParallelMonteCarloSimulator,
+from repro.diffusion.simulation import (
+    MonteCarloSimulator,
     ReplicaRecord,
+    SimulationAggregate,
     record_outcome,
 )
-from repro.diffusion.simulation import MonteCarloSimulator, SimulationAggregate
 from repro.exec.pool import ParallelExecutor
 from repro.graph.digraph import DiGraph
 from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
+from repro.utils.stats import RunningStats
 
 
 @pytest.fixture
@@ -30,7 +31,7 @@ class TestEquivalenceWithSerial:
             indexed, seeds, rng=RngStream(5)
         )
         with ParallelExecutor(3) as executor:
-            parallel = ParallelMonteCarloSimulator(
+            parallel = MonteCarloSimulator(
                 OPOAOModel(), runs=12, max_hops=6, executor=executor
             ).simulate(indexed, seeds, rng=RngStream(5))
         assert parallel.runs == serial.runs == 12
@@ -47,8 +48,8 @@ class TestEquivalenceWithSerial:
     def test_single_process_path(self, star):
         indexed = star.to_indexed()
         seeds = SeedSets(rumors=[0])
-        parallel = ParallelMonteCarloSimulator(
-            OPOAOModel(), runs=5, max_hops=4
+        parallel = MonteCarloSimulator(
+            OPOAOModel(), runs=5, max_hops=4, executor=ParallelExecutor(1)
         ).simulate(indexed, seeds, rng=RngStream(6))
         serial = MonteCarloSimulator(OPOAOModel(), runs=5, max_hops=4).simulate(
             indexed, seeds, rng=RngStream(6)
@@ -57,14 +58,14 @@ class TestEquivalenceWithSerial:
 
     def test_deterministic_model_single_run(self, chain, two_workers):
         indexed = chain.to_indexed()
-        aggregate = ParallelMonteCarloSimulator(
+        aggregate = MonteCarloSimulator(
             DOAMModel(), runs=99, executor=two_workers
         ).simulate(indexed, SeedSets(rumors=[0]))
         assert aggregate.runs == 1
         assert aggregate.final_infected.mean == 6
 
     def test_rng_required(self, star):
-        simulator = ParallelMonteCarloSimulator(OPOAOModel(), runs=3)
+        simulator = MonteCarloSimulator(OPOAOModel(), runs=3)
         with pytest.raises(ValueError):
             simulator.simulate(star.to_indexed(), SeedSets(rumors=[0]))
 
@@ -80,19 +81,20 @@ class TestSimulateDetailed:
             outcome = model.run(indexed, seeds, rng=RngStream(8).replica(replica), max_hops=6)
             expected.append(record_outcome(outcome, 6, end_ids))
         with ParallelExecutor(3) as executor:
-            _, records = ParallelMonteCarloSimulator(
+            records = MonteCarloSimulator(
                 model, runs=9, max_hops=6, executor=executor
-            ).simulate_detailed(indexed, seeds, rng=RngStream(8), end_ids=end_ids)
+            ).simulate(indexed, seeds, rng=RngStream(8), end_ids=end_ids).records
         assert records == expected
 
     def test_deterministic_model_records(self, chain, two_workers):
         indexed = chain.to_indexed()
-        aggregate, records = ParallelMonteCarloSimulator(
+        aggregate = MonteCarloSimulator(
             DOAMModel(), runs=50, executor=two_workers
-        ).simulate_detailed(indexed, SeedSets(rumors=[0]), end_ids=(5,))
+        ).simulate(indexed, SeedSets(rumors=[0]), end_ids=(5,))
         assert aggregate.runs == 1
-        assert len(records) == 1
-        assert records[0].end_counts == (1, 0, 0)  # the chain end is infected
+        assert len(aggregate.records) == 1
+        # the chain end is infected
+        assert aggregate.records[0].end_counts == (1, 0, 0)
 
     def test_record_outcome_classifies_ends(self, chain):
         indexed = chain.to_indexed()
@@ -117,7 +119,7 @@ class TestSimulateDetailed:
             )
         parallel_registry = MetricsRegistry()
         with use_registry(parallel_registry):
-            ParallelMonteCarloSimulator(
+            MonteCarloSimulator(
                 OPOAOModel(), runs=10, max_hops=5, executor=two_workers
             ).simulate(indexed, seeds, rng=RngStream(4))
         # Drop timers (never deterministic) and exec.* fault-bookkeeping
@@ -165,55 +167,26 @@ class TestEvaluateProtectorsWorkers:
 
 
 class TestAggregateAddSeries:
-    def test_add_series_matches_add(self, star):
+    """``add`` folds one record's per-hop series into the aggregate."""
+
+    def test_add_record_matches_trace(self, star):
         indexed = star.to_indexed()
         seeds = SeedSets(rumors=[0])
         model = OPOAOModel()
-        via_add = SimulationAggregate(5)
-        via_series = SimulationAggregate(5)
+        aggregate = SimulationAggregate(5)
+        at_hop_two, finals = RunningStats(), RunningStats()
         for replica in range(6):
             outcome = model.run(
                 indexed, seeds, rng=RngStream(11).replica(replica), max_hops=5
             )
-            via_add.add(outcome)
-            record = record_outcome(outcome, 5, ())
-            via_series.add_series(
-                record.infected_series,
-                record.protected_series,
-                record.final_infected,
-                record.final_protected,
-            )
-        assert via_series.runs == via_add.runs
-        assert via_series.infected_per_hop == via_add.infected_per_hop
-        assert via_series.final_infected.variance == via_add.final_infected.variance
+            aggregate.add(record_outcome(outcome, 5, ()))
+            at_hop_two.add(outcome.trace.infected_at(2))
+            finals.add(outcome.infected_count)
+        assert aggregate.runs == 6
+        assert aggregate.infected_per_hop[2] == at_hop_two.mean
+        assert aggregate.final_infected.variance == finals.variance
 
     def test_add_series_length_checked(self):
         aggregate = SimulationAggregate(4)
         with pytest.raises(ValueError):
-            aggregate.add_series((1, 2), (0, 0), 2, 0)
-
-
-class TestAggregateMerge:
-    def test_merge_equals_combined(self, star):
-        indexed = star.to_indexed()
-        seeds = SeedSets(rumors=[0])
-        model = OPOAOModel()
-        rng = RngStream(7)
-        left = SimulationAggregate(5)
-        right = SimulationAggregate(5)
-        both = SimulationAggregate(5)
-        for replica in range(8):
-            outcome = model.run(indexed, seeds, rng=rng.replica(replica), max_hops=5)
-            (left if replica < 4 else right).add(outcome)
-            rng_copy = rng.replica(replica)
-            both.add(model.run(indexed, seeds, rng=rng_copy, max_hops=5))
-        merged = left.merge(right)
-        assert merged.runs == both.runs
-        assert merged.infected_per_hop == pytest.approx(both.infected_per_hop)
-        assert merged.final_infected.variance == pytest.approx(
-            both.final_infected.variance
-        )
-
-    def test_merge_horizon_mismatch(self):
-        with pytest.raises(ValueError):
-            SimulationAggregate(3).merge(SimulationAggregate(4))
+            aggregate.add(ReplicaRecord((1, 2), (0, 0), 2, 0, (0, 0, 0)))

@@ -7,6 +7,7 @@ from repro.diffusion.doam import DOAMModel
 from repro.diffusion.opoao import OPOAOModel
 from repro.diffusion.simulation import MonteCarloSimulator
 from repro.graph.digraph import DiGraph
+from repro.kernels.registry import available_backends
 from repro.rng import RngStream
 
 
@@ -44,16 +45,33 @@ class TestSimulator:
         b = simulator.simulate(indexed, SeedSets(rumors=[0]), rng=RngStream(5))
         assert a.infected_per_hop == b.infected_per_hop
 
-    def test_on_outcome_callback_invoked(self, star):
-        seen = []
-        simulator = MonteCarloSimulator(OPOAOModel(), runs=4, max_hops=3)
-        simulator.simulate(
-            star.to_indexed(),
-            SeedSets(rumors=[0]),
-            rng=RngStream(2),
-            on_outcome=seen.append,
+    def test_records_kept_in_replica_order(self, star):
+        indexed = star.to_indexed()
+        seeds = SeedSets(rumors=[0])
+        model = OPOAOModel()
+        simulator = MonteCarloSimulator(model, runs=4, max_hops=3)
+        aggregate = simulator.simulate(indexed, seeds, rng=RngStream(2))
+        finals = [
+            model.run(indexed, seeds, rng=RngStream(2).replica(i), max_hops=3)
+            .infected_count
+            for i in range(4)
+        ]
+        assert [record.final_infected for record in aggregate.records] == finals
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_batched_records_match_per_replica_records(self, chain, backend):
+        # DOAM is deterministic, so the kernel race and the per-run model
+        # must build the very same record, bridge-end counts included.
+        indexed = chain.to_indexed()
+        seeds = SeedSets(rumors=[0], protectors=[3])
+        per_run = MonteCarloSimulator(DOAMModel(), max_hops=8).simulate(
+            indexed, seeds, end_ids=(2, 4, 5)
         )
-        assert len(seen) == 4
+        batched = MonteCarloSimulator(
+            DOAMModel(), max_hops=8, backend=backend
+        ).simulate(indexed, seeds, end_ids=(2, 4, 5))
+        assert batched.records == per_run.records
+        assert per_run.records[0].end_counts == (1, 2, 0)
 
     def test_mean_between_min_max(self, star):
         simulator = MonteCarloSimulator(OPOAOModel(), runs=30, max_hops=4)

@@ -8,6 +8,7 @@ run produces.
 """
 
 import json
+from typing import NamedTuple, Tuple
 
 import pytest
 
@@ -15,14 +16,17 @@ from repro.algorithms.celf import CELFGreedySelector
 from repro.algorithms.greedy import GreedySelector
 from repro.algorithms.ris_greedy import RISGreedySelector
 from repro.diffusion.base import CascadeSet, SeedSets
+from repro.diffusion.doam import DOAMModel
 from repro.diffusion.opoao import OPOAOModel
-from repro.diffusion.parallel import ParallelMonteCarloSimulator
+from repro.diffusion.simulation import MonteCarloSimulator
 from repro.errors import CheckpointError
+from repro.exec import checkpoint as checkpoint_module
 from repro.exec.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointStore,
     as_store,
     run_key,
+    run_replicas,
 )
 from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
@@ -199,15 +203,72 @@ class TestRISResume:
         assert checkpointed == plain
 
 
+@pytest.fixture
+def small_batches(monkeypatch):
+    """Save replica checkpoints every 4 replicas instead of 64."""
+    monkeypatch.setattr(checkpoint_module, "REPLICA_BATCH", 4)
+
+
+class Row(NamedTuple):
+    """A replica record with a tuple field, like the simulators' records."""
+
+    index: int
+    series: Tuple[int, ...]
+
+
+def rows_for(indices):
+    return [Row(index, (index, index * index)) for index in indices]
+
+
+@pytest.mark.usefixtures("small_batches")
+class TestRunReplicas:
+    """The shared replica loop, interrupted by a real mid-run failure."""
+
+    def loop(self, run_range, checkpoint):
+        return run_replicas(
+            run_range, 10, checkpoint, "mc", lambda: "key", make=Row._make
+        )
+
+    def test_crash_mid_run_resumes_only_the_missing_replicas(self, tmp_path):
+        path = tmp_path / "loop.ckpt"
+        batches = []
+
+        def crashes_on_third_batch(indices):
+            batches.append(list(indices))
+            if len(batches) == 3:
+                raise RuntimeError("worker lost")
+            return rows_for(indices)
+
+        with pytest.raises(RuntimeError):
+            self.loop(crashes_on_third_batch, path)
+        assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        entry = json.loads(path.read_text())["entries"]["mc"]
+        assert entry["rounds"] == 8
+        assert entry["state"]["records"][7] == [7, [7, 49]]  # tuples as lists
+
+        ran = []
+
+        def resumed_range(indices):
+            ran.extend(indices)
+            return rows_for(indices)
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            resumed = self.loop(resumed_range, CheckpointStore(path))
+        assert ran == [8, 9]
+        assert resumed == self.loop(rows_for, None) == rows_for(range(10))
+        assert registry.counter_values()["exec.resumed_rounds"] == 8
+
+
+@pytest.mark.usefixtures("small_batches")
 class TestMonteCarloResume:
     def simulator(self, executor, runs, tmp_path=None):
-        return ParallelMonteCarloSimulator(
+        return MonteCarloSimulator(
             OPOAOModel(),
             runs=runs,
             max_hops=5,
-            checkpoint=None if tmp_path is None else tmp_path / "run.ckpt",
-            checkpoint_every=4,
             executor=executor,
+            checkpoint=None if tmp_path is None else tmp_path / "run.ckpt",
         )
 
     def test_interrupted_run_resumes_bit_identical(
@@ -217,19 +278,17 @@ class TestMonteCarloResume:
         seeds = SeedSets(rumors=[0])
 
         def run(simulator):
-            return simulator.simulate_detailed(
+            return simulator.simulate(
                 indexed, seeds, rng=RngStream(11), end_ids=(4, 5)
             )
 
-        full_aggregate, full_records = run(self.simulator(two_workers, 12))
+        full_aggregate = run(self.simulator(two_workers, 12))
         # "Interrupt" after 6 replicas, then resume out to 12.
         run(self.simulator(two_workers, 6, tmp_path))
         registry = MetricsRegistry()
         with use_registry(registry):
-            resumed_aggregate, resumed_records = run(
-                self.simulator(two_workers, 12, tmp_path)
-            )
-        assert resumed_records == full_records
+            resumed_aggregate = run(self.simulator(two_workers, 12, tmp_path))
+        assert resumed_aggregate.records == full_aggregate.records
         assert resumed_aggregate.infected_per_hop == full_aggregate.infected_per_hop
         assert (
             resumed_aggregate.final_infected.mean
@@ -240,26 +299,34 @@ class TestMonteCarloResume:
     def test_longer_checkpoint_truncates(self, chain, tmp_path, two_workers):
         indexed = chain.to_indexed()
         seeds = SeedSets(rumors=[0])
-        _, full_records = self.simulator(
-            two_workers, 12, tmp_path
-        ).simulate_detailed(indexed, seeds, rng=RngStream(11))
-        _, short_records = self.simulator(
-            two_workers, 6, tmp_path
-        ).simulate_detailed(indexed, seeds, rng=RngStream(11))
-        assert short_records == full_records[:6]
+        full = self.simulator(two_workers, 12, tmp_path).simulate(
+            indexed, seeds, rng=RngStream(11)
+        )
+        short = self.simulator(two_workers, 6, tmp_path).simulate(
+            indexed, seeds, rng=RngStream(11)
+        )
+        assert short.records == full.records[:6]
+
+    def test_deterministic_model_writes_no_entry(self, chain, tmp_path):
+        aggregate = MonteCarloSimulator(
+            DOAMModel(), runs=6, checkpoint=tmp_path / "run.ckpt"
+        ).simulate(chain.to_indexed(), SeedSets(rumors=[0]))
+        assert aggregate.runs == 1
+        assert not (tmp_path / "run.ckpt").exists()
 
     def test_different_seeds_rejected(self, chain, tmp_path, two_workers):
         indexed = chain.to_indexed()
         seeds = SeedSets(rumors=[0])
-        self.simulator(two_workers, 6, tmp_path).simulate_detailed(
+        self.simulator(two_workers, 6, tmp_path).simulate(
             indexed, seeds, rng=RngStream(11)
         )
         with pytest.raises(CheckpointError):
-            self.simulator(two_workers, 6, tmp_path).simulate_detailed(
+            self.simulator(two_workers, 6, tmp_path).simulate(
                 indexed, seeds, rng=RngStream(12)
             )
 
 
+@pytest.mark.usefixtures("small_batches")
 class TestMonteCarloCascadeKeys:
     """The mc run key covers the cascade structure (regression).
 
@@ -270,23 +337,22 @@ class TestMonteCarloCascadeKeys:
     """
 
     def simulator(self, executor, runs, tmp_path):
-        return ParallelMonteCarloSimulator(
+        return MonteCarloSimulator(
             OPOAOModel(),
             runs=runs,
             max_hops=5,
-            checkpoint=tmp_path / "run.ckpt",
-            checkpoint_every=4,
             executor=executor,
+            checkpoint=tmp_path / "run.ckpt",
         )
 
     def test_priority_rule_changes_the_key(self, chain, tmp_path, two_workers):
         indexed = chain.to_indexed()
         cascades = [[0], [3], [5]]
-        self.simulator(two_workers, 6, tmp_path).simulate_detailed(
+        self.simulator(two_workers, 6, tmp_path).simulate(
             indexed, CascadeSet(cascades), rng=RngStream(11)
         )
         with pytest.raises(CheckpointError):
-            self.simulator(two_workers, 6, tmp_path).simulate_detailed(
+            self.simulator(two_workers, 6, tmp_path).simulate(
                 indexed,
                 CascadeSet(cascades, priority="rumor-first"),
                 rng=RngStream(11),
@@ -296,11 +362,11 @@ class TestMonteCarloCascadeKeys:
         # Same nodes fielded, different campaign structure: K=2 with
         # protectors {3, 5} is not K=3 with campaigns {3} and {5}.
         indexed = chain.to_indexed()
-        self.simulator(two_workers, 6, tmp_path).simulate_detailed(
+        self.simulator(two_workers, 6, tmp_path).simulate(
             indexed, SeedSets(rumors=[0], protectors=[3, 5]), rng=RngStream(11)
         )
         with pytest.raises(CheckpointError):
-            self.simulator(two_workers, 6, tmp_path).simulate_detailed(
+            self.simulator(two_workers, 6, tmp_path).simulate(
                 indexed, CascadeSet([[0], [3], [5]]), rng=RngStream(11)
             )
 
@@ -319,7 +385,7 @@ class TestMonteCarloCascadeKeys:
         store = CheckpointStore(tmp_path / "run.ckpt")
         store.save("mc", stale_key, {"batches": []}, rounds=0)
         with pytest.raises(CheckpointError):
-            self.simulator(two_workers, 6, tmp_path).simulate_detailed(
+            self.simulator(two_workers, 6, tmp_path).simulate(
                 indexed,
                 SeedSets(rumors=[0], protectors=[3]),
                 rng=RngStream(11),
@@ -330,20 +396,18 @@ class TestMonteCarloCascadeKeys:
         seeds = CascadeSet([[0], [3], [5]], priority="rumor-first")
 
         def run(simulator):
-            return simulator.simulate_detailed(
+            return simulator.simulate(
                 indexed, seeds, rng=RngStream(11), end_ids=(4, 5)
             )
 
-        full_aggregate, full_records = run(
-            ParallelMonteCarloSimulator(
+        full_aggregate = run(
+            MonteCarloSimulator(
                 OPOAOModel(), runs=12, max_hops=5, executor=two_workers
             )
         )
         run(self.simulator(two_workers, 6, tmp_path))
-        resumed_aggregate, resumed_records = run(
-            self.simulator(two_workers, 12, tmp_path)
-        )
-        assert resumed_records == full_records
+        resumed_aggregate = run(self.simulator(two_workers, 12, tmp_path))
+        assert resumed_aggregate.records == full_aggregate.records
         assert (
             resumed_aggregate.infected_per_hop
             == full_aggregate.infected_per_hop

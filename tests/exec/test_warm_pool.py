@@ -1,5 +1,5 @@
 """Warm-pool lifecycle tests: executor reuse, republication, auto-tuned
-chunks, close/finalize cleanup, and the process-wide shared-pool mode."""
+chunks, close/finalize cleanup, and one pool per CLI invocation."""
 
 import gc
 import json
@@ -7,13 +7,7 @@ import json
 import pytest
 
 from repro.exec import shm as shm_module
-from repro.exec.pool import (
-    _SHARED_POOLS,
-    MAX_CHUNKS_PER_WORKER,
-    SHARED_POOL_ENV,
-    ParallelExecutor,
-    shutdown_shared_pools,
-)
+from repro.exec.pool import MAX_CHUNKS_PER_WORKER, ParallelExecutor
 from repro.graph.digraph import DiGraph
 from repro.obs import MetricsRegistry, use_registry
 
@@ -52,10 +46,9 @@ def make_chain(size):
 
 
 class TestExecutorReuse:
-    def test_reuse_matches_per_call_pools_across_graphs(self, monkeypatch):
+    def test_reuse_matches_per_call_pools_across_graphs(self):
         """Two maps on different graphs over ONE executor: bit-identical
         to two per-call executors, one pool, two publications."""
-        monkeypatch.delenv(SHARED_POOL_ENV, raising=False)
         first_graph, second_graph = make_chain(6), make_chain(9)
         first_chunks = [[0, 1], [2, 3], [4, 5]]
         second_chunks = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
@@ -85,8 +78,7 @@ class TestExecutorReuse:
         # The graph identity changed between maps -> republished once.
         assert counters["exec.publications"] == 2
 
-    def test_same_graph_pins_one_publication(self, monkeypatch):
-        monkeypatch.delenv(SHARED_POOL_ENV, raising=False)
+    def test_same_graph_pins_one_publication(self):
         graph = make_chain(8)
         registry = MetricsRegistry()
         with use_registry(registry):
@@ -105,11 +97,10 @@ class TestExecutorReuse:
         assert counters["exec.pool.created"] == 1
         assert counters["exec.publications"] == 1
 
-    def test_in_place_mutation_forces_republication(self, monkeypatch):
+    def test_in_place_mutation_forces_republication(self):
         """apply_updates bumps graph.version; the next map must publish
         the mutated adjacency instead of reusing the pinned publication
         (same object identity, different contents)."""
-        monkeypatch.delenv(SHARED_POOL_ENV, raising=False)
         graph = make_chain(8)
         registry = MetricsRegistry()
         chunks = [[0, 1], [2, 3]]
@@ -208,40 +199,12 @@ class TestChunkAutoTuning:
         assert registry.counter_values()["test.items"] == 2 * len(items)
 
 
-class TestSharedPoolMode:
-    def test_executors_borrow_one_process_wide_pool(self, monkeypatch):
-        monkeypatch.setenv(SHARED_POOL_ENV, "1")
-        shutdown_shared_pools()
-        registry = MetricsRegistry()
-        try:
-            with use_registry(registry):
-                with ParallelExecutor(2) as first:
-                    first_result = first.map_chunks(
-                        null_setup, scale_task, 2, [[1], [2]]
-                    )
-                # close() left the borrowed pool in the cache; a second
-                # executor reuses it without creating another.
-                with ParallelExecutor(2) as second:
-                    second_result = second.map_chunks(
-                        null_setup, scale_task, 2, [[1], [2]]
-                    )
-            assert first_result == second_result == [[2], [4]]
-            assert registry.counter_values()["exec.pool.created"] == 1
-            assert len(_SHARED_POOLS) == 1
-        finally:
-            shutdown_shared_pools()
-        assert _SHARED_POOLS == {}
-
-
 class TestOnePoolPerInvocation:
-    def test_cli_run_creates_one_pool_and_one_publication(
-        self, monkeypatch, tmp_path
-    ):
+    def test_cli_run_creates_one_pool_and_one_publication(self, tmp_path):
         """Selection and evaluation of one ``repro simulate --workers``
         run share the invocation's executor (docs/cli.md)."""
         from repro.cli import main
 
-        monkeypatch.delenv(SHARED_POOL_ENV, raising=False)
         path = tmp_path / "metrics.json"
         argv = [
             "simulate",

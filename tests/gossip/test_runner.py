@@ -1,16 +1,12 @@
 """Replica fan-out contracts: bit-identity, checkpointing, obs counters."""
 
+import json
+
 import pytest
 
 from repro.exec.checkpoint import CheckpointStore
 from repro.gossip import GossipConfig, GossipMonteCarlo
-from repro.gossip.runner import (
-    GossipAggregate,
-    GossipReplicaRecord,
-    _records_from_state,
-    _records_to_state,
-)
-from repro.gossip.sim import MESSAGE_KINDS
+from repro.gossip.runner import GossipAggregate
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.rng import RngStream
 
@@ -85,12 +81,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             run(ring_graph, runs=5, checkpoint=store, seed=43)
 
-    def test_record_state_round_trip(self):
-        records = [
-            GossipReplicaRecord(3, 2, tuple(range(len(MESSAGE_KINDS))), 40, 12, (1, 2, 3)),
-            GossipReplicaRecord(5, 0, tuple(1 for _ in MESSAGE_KINDS), 9, 4, (1, 5, 5)),
+    def test_record_state_round_trip(self, ring_graph, tmp_path):
+        path = tmp_path / "gossip.ckpt"
+        _, written = run(ring_graph, runs=4, checkpoint=path)
+        rows = json.loads(path.read_text())["entries"]["gossip"]["state"]["records"]
+        first = written[0]
+        assert rows[0] == [
+            first.final_infected,
+            first.final_protected,
+            list(first.messages),
+            first.events,
+            first.rounds,
+            list(first.infected_series),
         ]
-        assert _records_from_state(_records_to_state(records)) == records
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            _, restored = run(
+                ring_graph, runs=4, checkpoint=CheckpointStore(path, resume=True)
+            )
+        assert restored == written
+        assert registry.counter_value("gossip.replicas") == 0  # none re-ran
 
 
 class TestObsCounters:

@@ -11,7 +11,6 @@ checkpoint resumption — is exercised directly.
 import pytest
 
 from repro.algorithms.base import ProtectorSelector, SelectionContext
-from repro.diffusion.base import CascadeSet
 from repro.diffusion.doam import DOAMModel
 from repro.diffusion.ic import CompetitiveICModel
 from repro.errors import CheckpointError, SeedError, ValidationError
@@ -28,6 +27,7 @@ from repro.lcrb.multicascade import (
     resolve_campaign_seeds,
     _enumerate_worlds,
 )
+from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
 
 
@@ -185,7 +185,6 @@ class TestImpressionScenario:
             runs=runs,
             max_hops=8,
             checkpoint=path,
-            checkpoint_every=4,
         )
         options.update(overrides)
         return ImpressionScenario(CompetitiveICModel(probability=0.5), **options)
@@ -204,6 +203,21 @@ class TestImpressionScenario:
         assert resumed.mean_dominated == full.mean_dominated
         assert resumed.cascade_means == full.cascade_means
         assert resumed.dominated.maximum == full.dominated.maximum
+
+    def test_resume_counts_restored_replicas(self, tiny_context, tmp_path):
+        path = tmp_path / "imp.ckpt"
+        campaigns = [[2], [5]]
+        full = self.checkpointed(12, None).run(
+            tiny_context, campaigns, RngStream(7)
+        )
+        self.checkpointed(6, path).run(tiny_context, campaigns, RngStream(7))
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            resumed = self.checkpointed(12, path).run(
+                tiny_context, campaigns, RngStream(7)
+            )
+        assert registry.counter_value("exec.resumed_rounds") == 6
+        assert resumed.to_dict() == full.to_dict()
 
     def test_changed_configuration_refuses_to_resume(self, tiny_context, tmp_path):
         path = tmp_path / "imp.ckpt"

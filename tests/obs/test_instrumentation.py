@@ -5,7 +5,6 @@ import pytest
 from repro.diffusion.base import SeedSets
 from repro.diffusion.doam import DOAMModel
 from repro.diffusion.opoao import OPOAOModel
-from repro.diffusion.parallel import ParallelMonteCarloSimulator
 from repro.diffusion.simulation import MonteCarloSimulator
 from repro.exec.pool import ParallelExecutor
 from repro.graph.digraph import DiGraph
@@ -30,7 +29,7 @@ class TestSerialParallelEquality:
             )
         parallel_registry = MetricsRegistry()
         with use_registry(parallel_registry), ParallelExecutor(3) as executor:
-            ParallelMonteCarloSimulator(
+            MonteCarloSimulator(
                 OPOAOModel(), runs=12, max_hops=6, executor=executor
             ).simulate(indexed, seeds, rng=RngStream(5))
         # exec.* is pool bookkeeping (pool created, graph published) that a
@@ -48,8 +47,8 @@ class TestSerialParallelEquality:
         indexed = star.to_indexed()
         registry = MetricsRegistry()
         with use_registry(registry):
-            ParallelMonteCarloSimulator(
-                OPOAOModel(), runs=5, max_hops=4
+            MonteCarloSimulator(
+                OPOAOModel(), runs=5, max_hops=4, executor=ParallelExecutor(1)
             ).simulate(indexed, SeedSets(rumors=[0]), rng=RngStream(6))
         assert registry.counter_value("sim.worlds") == 5
         assert registry.counter_value("sim.node_visits") > 0
@@ -57,7 +56,7 @@ class TestSerialParallelEquality:
     def test_disabled_parent_ships_no_snapshots(self, star, two_workers):
         indexed = star.to_indexed()
         assert metrics() is NULL_REGISTRY
-        aggregate = ParallelMonteCarloSimulator(
+        aggregate = MonteCarloSimulator(
             OPOAOModel(), runs=6, max_hops=4, executor=two_workers
         ).simulate(indexed, SeedSets(rumors=[0]), rng=RngStream(9))
         assert aggregate.runs == 6

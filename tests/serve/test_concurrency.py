@@ -14,7 +14,7 @@ import asyncio
 import pytest
 
 from repro.exec import shm as shm_module
-from repro.exec.pool import SHARED_POOL_ENV, ParallelExecutor
+from repro.exec.pool import ParallelExecutor
 from repro.graph.generators import planted_partition
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.rng import RngStream
@@ -145,8 +145,7 @@ class TestPublicationPaths:
     """The shared warm pool underneath must not perturb answers, and
     every seed set's store samples on that one pool and publication."""
 
-    def check_executor_matches_inline(self, share, monkeypatch):
-        monkeypatch.delenv(SHARED_POOL_ENV, raising=False)
+    def check_executor_matches_inline(self, share):
         inline_service, community = build_service()
         inline = run_serial(inline_service, community)
         registry = MetricsRegistry()
@@ -161,10 +160,10 @@ class TestPublicationPaths:
         assert counters["exec.pool.created"] == 1
         assert counters["exec.publications"] == 1
 
-    def test_pickle_publication_path(self, monkeypatch):
-        self.check_executor_matches_inline("pickle", monkeypatch)
+    def test_pickle_publication_path(self):
+        self.check_executor_matches_inline("pickle")
 
-    def test_shm_publication_path(self, monkeypatch):
+    def test_shm_publication_path(self):
         if shm_module.np is None:
             pytest.skip("shm publication requires NumPy")
-        self.check_executor_matches_inline("shm", monkeypatch)
+        self.check_executor_matches_inline("shm")

@@ -45,27 +45,6 @@ class TestRunningStats:
         assert rs.mean == 7.0
         assert rs.stdev == 0.0
 
-    def test_merge_equivalent_to_union(self):
-        left_values = [1.0, 2.0, 3.0]
-        right_values = [10.0, 20.0]
-        left, right, union = RunningStats(), RunningStats(), RunningStats()
-        left.extend(left_values)
-        right.extend(right_values)
-        union.extend(left_values + right_values)
-        merged = left.merge(right)
-        assert merged.count == union.count
-        assert merged.mean == pytest.approx(union.mean)
-        assert merged.variance == pytest.approx(union.variance)
-        assert merged.minimum == union.minimum
-
-    def test_merge_with_empty(self):
-        filled = RunningStats()
-        filled.extend([1.0, 2.0])
-        merged = filled.merge(RunningStats())
-        assert merged.mean == 1.5
-        merged2 = RunningStats().merge(filled)
-        assert merged2.mean == 1.5
-
 
 class TestConfidenceInterval:
     def test_empty(self):
