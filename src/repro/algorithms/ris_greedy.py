@@ -147,11 +147,15 @@ BatchedSigmaEvaluator`) and records the achieved protected fraction in
         Excludes budget, alpha, and the (ε, δ) precision targets: worlds
         are pure functions of their index, so any run over the same
         instance and sampling configuration shares the sampled prefix.
+        Includes the draw rule's version, so worlds drawn under another
+        rule never mix into the store.
         """
         from repro.exec.checkpoint import run_key
+        from repro.sketch.rrset import PICK_RULE_VERSION
 
         return run_key(
             kind="sketch",
+            draws=PICK_RULE_VERSION,
             semantics=self.semantics,
             steps=self.steps,
             seed=self.rng.seed,

@@ -89,7 +89,9 @@ def record_cascade(
     The process follows Section III.A for a *single* cascade (the proof
     builds ``G_R`` and ``G_P`` separately): at every step each reached node
     picks one out-neighbor — uniformly via ``rng``, or via the scripted
-    ``chooser`` (used by tests to replay Fig. 1 exactly).
+    ``chooser`` (used by tests to replay Fig. 1 exactly, and by
+    :class:`repro.sketch.rrset.OPOAORRSampler` for its counter-keyed
+    picks).
 
     Args:
         graph: indexed graph.

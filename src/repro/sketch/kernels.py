@@ -4,7 +4,7 @@ The per-world samplers in :mod:`repro.sketch.rrset` are pure functions of
 their replica index, so a batched kernel that races many worlds over the
 graph's CSR arrays can replace them wholesale — provided it reproduces
 every draw bit for bit. This module provides that kernel layer, mirroring
-the :mod:`repro.kernels` registry the forward simulators got in PR 3:
+the :mod:`repro.kernels` registry the forward simulators use:
 
 * ``python`` — the reference backend: a per-world loop over
   ``sampler.sample_world`` (always available, trivially identical);
@@ -22,23 +22,19 @@ enforces the contract property-style.
 
 How the numpy backend reproduces the python draws exactly:
 
-* **MT19937 word-stream replay.** ``random.Random(seed)`` and
-  ``numpy.random.RandomState(key)`` share the same Mersenne Twister;
-  seeding ``RandomState`` with the seed's little-endian 32-bit words
-  reproduces CPython's ``getrandbits(32)`` stream exactly (CPython's
-  ``init_by_array`` key). ``randrange(n)`` is then replayed with the
-  same rejection sampling CPython uses (top ``n.bit_length()`` bits of
-  each word, rejecting values >= n). Multi-word keys only: the rare
-  sub-2^32 seed (:func:`repro.rng.derive_seed` emits 63-bit seeds, so
-  probability ~2^-31) falls back to ``random.Random`` for that stream.
-* **Rumor cascade.** ``record_cascade`` is replayed on a lean
-  min-arrival sweep: per step, the sorted snapshot of reached nodes with
-  out-neighbors each draws one uniform pick, recording first arrivals
-  and the first event step into every node (which is exactly
-  ``min_in_timestamp`` at the bridge ends).
-* **Choice rows** are drawn lazily, one fork per node, exactly when the
-  reverse traversal first touches the node's in-row — so the drawn-row
-  set (part of the footprint) matches the python sampler's lazy set.
+* **One counter-keyed rule.** Every pick is
+  :func:`repro.sketch.rrset.pick` of (world key, node, step), which the
+  python sampler evaluates per cell and this kernel evaluates on
+  broadcast ``uint64`` blocks — the same function, so the same bits.
+* **Rumor cascade.** ``record_cascade`` becomes one vectorized frontier
+  step per horizon step: every reached node with out-neighbors draws
+  its pick for the step at once, recording first arrivals and the first
+  event step into every node (which is exactly ``min_in_timestamp`` at
+  the bridge ends).
+* **Choice rows** are drawn lazily, exactly when the reverse traversal
+  first touches a node's in-row — one block expression for all the
+  missing rows of a relaxation level — so the drawn-row set (part of
+  the footprint) matches the python sampler's lazy set.
 * **Reverse max-slack search** runs as a bucketed integer Dijkstra over
   an ``ends x nodes`` slack matrix: levels descend from the deadline,
   each level relaxes all (end, node) pairs finalised at that slack in
@@ -54,13 +50,16 @@ single-world cache so serve/refresh cache semantics are unchanged.
 
 from __future__ import annotations
 
-import hashlib
-import random as _stdlib_random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import BackendUnavailableError, KernelError
-from repro.rng import derive_seed
-from repro.sketch.rrset import DOAMRRSampler, OPOAORRSampler, WorldSample
+from repro.sketch.rrset import (
+    DOAMRRSampler,
+    OPOAORRSampler,
+    WorldSample,
+    pick,
+    world_keys,
+)
 
 __all__ = [
     "SKETCH_BACKEND_AUTO",
@@ -78,10 +77,6 @@ SKETCH_BACKEND_AUTO = "auto"
 #: Preference order for ``auto`` resolution (fastest first).
 _AUTO_ORDER = ("numpy", "python")
 
-#: Seeds below 2^32 are single-word MT keys, which numpy's RandomState
-#: initialises differently from CPython — replay those with the stdlib.
-_MIN_VECTOR_SEED = 1 << 32
-
 #: Pick bitmasks must stay exactly representable in float64 for the
 #: ``frexp`` highest-bit trick; beyond this the kernel defers to python.
 _MAX_FREXP_STEPS = 53
@@ -89,9 +84,17 @@ _MAX_FREXP_STEPS = 53
 #: Slack-matrix budget (ends-per-block x node_count cells).
 _BLOCK_CELLS = 4_000_000
 
-#: Graphs at most this many edges also keep plain-list CSR copies for the
-#: cascade's tight scalar loop (python list indexing beats ndarray items).
-_LIST_CSR_MAX_EDGES = 2_000_000
+
+def _unique(np_mod, values):
+    """``np.unique`` of a 1-D integer array, by one sort and a mask.
+
+    NumPy 2.4's hash-based ``unique`` costs ~10x a sort on the hundreds
+    to thousands of ids one relaxation level or cascade step handles.
+    """
+    ordered = np_mod.sort(values)
+    if ordered.size < 2:
+        return ordered
+    return ordered[np_mod.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
 class PythonSketchKernel:
@@ -102,82 +105,6 @@ class PythonSketchKernel:
     def sample(self, sampler, indices: Sequence[int]) -> List[WorldSample]:
         """Worlds for ``indices`` in order (definitionally bit-identical)."""
         return [sampler.sample_world(int(index)) for index in indices]
-
-
-def _mt_key(np_mod, seed: int):
-    """CPython's ``init_by_array`` key: little-endian 32-bit words."""
-    words = []
-    value = seed
-    while value:
-        words.append(value & 0xFFFFFFFF)
-        value >>= 32
-    return np_mod.array(words or [0], dtype=np_mod.uint32)
-
-
-class _ReplayStream:
-    """Replays ``random.Random(seed).randrange`` draws bit-exactly.
-
-    Wraps one shared ``RandomState`` (re-seeded per stream) whose raw
-    byte output is CPython's ``getrandbits(32)`` word stream for
-    multi-word seeds; sub-2^32 seeds fall back to the stdlib generator.
-    The wrapped state must not be re-seeded elsewhere between this
-    stream's construction and its last draw.
-    """
-
-    __slots__ = ("_np", "_rs", "_py", "_buf", "_pos")
-
-    def __init__(self, np_mod, rand_state, seed: int) -> None:
-        self._np = np_mod
-        if seed < _MIN_VECTOR_SEED:
-            self._py = _stdlib_random.Random(seed)
-            self._rs = None
-        else:
-            self._py = None
-            self._rs = rand_state
-            rand_state.seed(_mt_key(np_mod, seed))
-        self._buf: List[int] = []
-        self._pos = 0
-
-    def randrange(self, n: int) -> int:
-        """One ``randrange(n)`` draw, consuming exactly CPython's words."""
-        if self._py is not None:
-            return self._py.randrange(n)
-        shift = 32 - n.bit_length()
-        buf, pos = self._buf, self._pos
-        while True:
-            if pos >= len(buf):
-                raw = self._rs.bytes(4 * 1024)
-                buf = self._np.frombuffer(raw, dtype="<u4").tolist()
-                self._buf = buf
-                pos = 0
-            value = buf[pos] >> shift
-            pos += 1
-            if value < n:
-                self._pos = pos
-                return value
-
-    def randrange_block(self, n: int, count: int):
-        """``count`` sequential ``randrange(n)`` draws as an int64 array.
-
-        May consume words past the final accepted draw, so it is only
-        valid as the stream's last use (choice rows draw one block and
-        discard the stream).
-        """
-        np_mod = self._np
-        if self._py is not None:
-            draws = [self._py.randrange(n) for _ in range(count)]
-            return np_mod.array(draws, dtype=np_mod.int64)
-        shift = np_mod.uint32(32 - n.bit_length())
-        pieces = []
-        have = 0
-        while have < count:
-            raw = self._rs.bytes(4 * max(2 * (count - have) + 16, 32))
-            values = np_mod.frombuffer(raw, dtype="<u4") >> shift
-            accepted = values[values < n]
-            pieces.append(accepted)
-            have += int(accepted.size)
-        block = pieces[0] if len(pieces) == 1 else np_mod.concatenate(pieces)
-        return block[:count].astype(np_mod.int64)
 
 
 class _GraphData:
@@ -193,26 +120,25 @@ class _GraphData:
         "in_indices",
         "in_deg",
         "in_heads",
-        "indptr_list",
-        "indices_list",
-        "deg_list",
-        "shift_list",
     )
 
 
 class _RowTable:
     """Lazily drawn choice rows, packed node -> row of neighbor picks."""
 
-    __slots__ = ("_np", "table", "position", "count")
+    __slots__ = ("_np", "_data", "_key", "_steps", "table", "position", "count")
 
-    def __init__(self, np_mod, node_count: int, steps: int) -> None:
+    def __init__(self, np_mod, data: _GraphData, steps: int, key: int) -> None:
         self._np = np_mod
+        self._data = data
+        self._key = key
+        self._steps = np_mod.arange(1, steps + 1, dtype=np_mod.uint64)
         self.table = np_mod.empty((0, steps), dtype=np_mod.int64)
-        self.position = np_mod.full(node_count, -1, dtype=np_mod.int64)
+        self.position = np_mod.full(data.node_count, -1, dtype=np_mod.int64)
         self.count = 0
 
-    def ensure(self, nodes, draw: Callable[[int], Any]) -> None:
-        """Draw rows for every node in ``nodes`` that lacks one."""
+    def ensure(self, nodes) -> None:
+        """Draw, in one block, the rows of the unique ``nodes`` lacking one."""
         np_mod = self._np
         missing = nodes[self.position[nodes] < 0]
         if missing.size == 0:
@@ -227,10 +153,18 @@ class _RowTable:
             )
             grown[: self.count] = self.table[: self.count]
             self.table = grown
-        for node in missing.tolist():
-            self.table[self.count] = draw(node)
-            self.position[node] = self.count
-            self.count += 1
+        data = self._data
+        picks = pick(
+            self._key,
+            missing.astype(np_mod.uint64)[:, None],
+            self._steps,
+            data.out_deg[missing].astype(np_mod.uint64)[:, None],
+        )
+        self.table[self.count : needed] = data.indices[
+            data.indptr[missing][:, None] + picks.astype(np_mod.int64)
+        ]
+        self.position[missing] = np_mod.arange(self.count, needed)
+        self.count = needed
 
     def rows_for(self, tails):
         return self.table[self.position[tails]]
@@ -252,8 +186,6 @@ class NumpySketchKernel:
         # reference inside each entry keeps that id stable, and a mutated
         # graph re-exports a fresh CSR object so stale hits are impossible.
         self._graphs: Dict[int, _GraphData] = {}
-        #: list-CSR threshold (attribute so tests can force the array path).
-        self.list_csr_max_edges = _LIST_CSR_MAX_EDGES
 
     # -- graph arrays ------------------------------------------------------------
 
@@ -284,19 +216,6 @@ class NumpySketchKernel:
         data.in_heads = np_mod.repeat(
             np_mod.arange(node_count, dtype=np_mod.int64), data.in_deg
         )
-        if len(data.indices) <= self.list_csr_max_edges:
-            data.indptr_list = data.indptr.tolist()
-            data.indices_list = data.indices.tolist()
-            data.deg_list = data.out_deg.tolist()
-            data.shift_list = [
-                32 - degree.bit_length() if degree else 32
-                for degree in data.deg_list
-            ]
-        else:
-            data.indptr_list = None
-            data.indices_list = None
-            data.deg_list = None
-            data.shift_list = None
         if len(self._graphs) >= 4:  # tiny LRU: serve holds few live graphs
             self._graphs.pop(next(iter(self._graphs)))
         self._graphs[id(csr)] = data
@@ -310,140 +229,39 @@ class NumpySketchKernel:
 
     # -- OPOAO -------------------------------------------------------------------
 
-    def _rumor_cascade(self, sampler, data: _GraphData, seed: int, rand_state):
-        """Lean replay of :func:`repro.diffusion.timestamps.record_cascade`.
+    def _rumor_cascade(self, sampler, data: _GraphData, key: int):
+        """Vectorized :func:`repro.diffusion.timestamps.record_cascade`.
 
         Only per-node minima matter downstream: the first arrival step
         (which fixes each step's drawing snapshot) and the first event
         step into a node (the min preserved in-timestamp at that node).
-        Draw order — sorted snapshot of reached nodes, skipping those
-        without out-neighbors — matches the recorder's exactly.
+        Every node reached before a step with out-neighbors draws its
+        pick for that step; picks are independent cells of the rule, so
+        one array expression per step replaces the recorder's loop.
         """
-        if data.deg_list is not None and seed >= _MIN_VECTOR_SEED:
-            return self._rumor_cascade_fast(sampler, data, seed, rand_state)
         np_mod = self._np
         arrival = np_mod.full(data.node_count, -1, dtype=np_mod.int64)
         first_event = np_mod.full(data.node_count, -1, dtype=np_mod.int64)
         reached = np_mod.array(sampler.rumor_ids, dtype=np_mod.int64)
         arrival[reached] = 0
-        stream = _ReplayStream(np_mod, rand_state, seed)
-        randrange = stream.randrange
         indptr, indices, out_deg = data.indptr, data.indices, data.out_deg
+        active = reached[out_deg[reached] > 0]
         for step in range(1, sampler.steps + 1):
-            active = reached[
-                (out_deg[reached] > 0) & (arrival[reached] < step)
-            ]
             if active.size == 0:
                 break  # no node can ever draw again
-            fresh: List[int] = []
-            for node in active.tolist():
-                pick = randrange(int(out_deg[node]))
-                head = int(indices[int(indptr[node]) + pick])
-                if first_event[head] < 0:
-                    first_event[head] = step
-                if arrival[head] < 0:
-                    arrival[head] = step
-                    fresh.append(head)
-            if fresh:
-                reached = np_mod.union1d(
-                    reached, np_mod.array(fresh, dtype=np_mod.int64)
-                )
+            picks = pick(
+                key,
+                active.astype(np_mod.uint64),
+                step,
+                out_deg[active].astype(np_mod.uint64),
+            )
+            heads = indices[indptr[active] + picks.astype(np_mod.int64)]
+            first_event[heads[first_event[heads] < 0]] = step
+            fresh = _unique(np_mod, heads[arrival[heads] < 0])
+            if fresh.size:
+                arrival[fresh] = step
+                active = np_mod.concatenate((active, fresh[out_deg[fresh] > 0]))
         return arrival, first_event
-
-    def _rumor_cascade_fast(self, sampler, data: _GraphData, seed, rand_state):
-        """List-CSR cascade sweep with the word rejection loop inlined.
-
-        Identical draw-for-draw to the generic path: every snapshot node
-        (sorted, out-degree > 0) consumes ``getrandbits(k)`` words until
-        one lands below its degree. Arrival values are write-once and
-        always precede the current step, so the drawing snapshot is just
-        the sorted reached-so-far set.
-        """
-        np_mod = self._np
-        node_count = data.node_count
-        arrival = [-1] * node_count
-        first_event = [-1] * node_count
-        for node in sampler.rumor_ids:
-            arrival[node] = 0
-        deg_list, shift_list = data.deg_list, data.shift_list
-        indptr_list, indices_list = data.indptr_list, data.indices_list
-        rand_state.seed(_mt_key(np_mod, seed))
-        buffer: List[int] = []
-        cursor = 0
-        filled = 0
-        active = sorted(
-            node for node in sampler.rumor_ids if deg_list[node] > 0
-        )
-        for step in range(1, sampler.steps + 1):
-            if not active:
-                break  # no node can ever draw again
-            fresh: List[int] = []
-            for node in active:
-                degree = deg_list[node]
-                shift = shift_list[node]
-                while True:
-                    if cursor >= filled:
-                        raw = rand_state.bytes(4 * 4096)
-                        buffer = np_mod.frombuffer(raw, dtype="<u4").tolist()
-                        cursor = 0
-                        filled = len(buffer)
-                    pick = buffer[cursor] >> shift
-                    cursor += 1
-                    if pick < degree:
-                        break
-                head = indices_list[indptr_list[node] + pick]
-                if first_event[head] < 0:
-                    first_event[head] = step
-                if arrival[head] < 0:
-                    arrival[head] = step
-                    if deg_list[head] > 0:
-                        fresh.append(head)
-            if fresh:
-                active = sorted(active + fresh)
-        return (
-            np_mod.array(arrival, dtype=np_mod.int64),
-            np_mod.array(first_event, dtype=np_mod.int64),
-        )
-
-    def _draw_row(self, sampler, data: _GraphData, rand_state, prefix, node):
-        """One node's choice row: out-neighbor picks for every step.
-
-        ``prefix`` is the shared sha256 state of
-        ``derive_seed(world_seed, "choices", ...)`` up to the node part,
-        so per-row seed derivation is one hash copy + finalise.
-        """
-        np_mod = self._np
-        hasher = prefix.copy()
-        hasher.update(b"/%d" % node)
-        seed = (
-            int.from_bytes(hasher.digest()[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
-        )
-        steps = sampler.steps
-        degree = int(data.out_deg[node])
-        if seed < _MIN_VECTOR_SEED:  # single-word MT key: replay via stdlib
-            rng = _stdlib_random.Random(seed)
-            picks = [rng.randrange(degree) for _ in range(steps)]
-        else:
-            rand_state.seed(_mt_key(np_mod, seed))
-            raw = rand_state.bytes(4 * (2 * steps + 16))
-            words = np_mod.frombuffer(raw, dtype="<u4").tolist()
-            shift = 32 - degree.bit_length()
-            picks = []
-            pos = 0
-            while len(picks) < steps:
-                if pos >= len(words):
-                    raw = rand_state.bytes(4 * 64)
-                    words = np_mod.frombuffer(raw, dtype="<u4").tolist()
-                    pos = 0
-                value = words[pos] >> shift
-                pos += 1
-                if value < degree:
-                    picks.append(value)
-        if data.indices_list is not None:
-            base = data.indptr_list[node]
-            return [data.indices_list[base + pick] for pick in picks]
-        base = int(data.indptr[node])
-        return data.indices[np_mod.array(picks, dtype=np_mod.int64) + base]
 
     def _relax_block(
         self,
@@ -451,7 +269,6 @@ class NumpySketchKernel:
         steps: int,
         block: List[Tuple[int, int]],
         row_table: _RowTable,
-        draw: Callable[[int], Any],
         edge_masks,
         edge_done,
     ):
@@ -495,7 +312,7 @@ class NumpySketchKernel:
             keys = keys[flat[keys] == level]  # drop stale (improved) pairs
             if keys.size == 0:
                 continue
-            keys = np_mod.unique(keys)
+            keys = _unique(np_mod, keys)
             nodes = keys % node_count
             counts = in_deg[nodes]
             total = int(counts.sum())
@@ -507,9 +324,9 @@ class NumpySketchKernel:
             tails = in_indices[positions]
             fresh = positions[~edge_done[positions]]
             if fresh.size:
-                fresh = np_mod.unique(fresh)
+                fresh = _unique(np_mod, fresh)
                 fresh_tails = in_indices[fresh]
-                row_table.ensure(np_mod.unique(fresh_tails), draw)
+                row_table.ensure(_unique(np_mod, fresh_tails))
                 rows = row_table.rows_for(fresh_tails)
                 # Bit t-1 set <=> the tail picks this head at step t.
                 edge_masks[fresh] = (
@@ -529,33 +346,20 @@ class NumpySketchKernel:
             targets = targets[improved]
             np_mod.maximum.at(flat, targets, candidates[improved])
             final = flat[targets]
-            for value in np_mod.unique(final).tolist():
+            for value in _unique(np_mod, final).tolist():
                 buckets[value].append(targets[final == value])
         return slack
 
-    def _opoao_world(
-        self, sampler, data: _GraphData, index: int, rand_state
-    ) -> WorldSample:
+    def _opoao_world(self, sampler, data: _GraphData, index: int) -> WorldSample:
         np_mod = self._np
-        world_seed = derive_seed(sampler.rng.seed, "replica", index)
-        arrival, first_event = self._rumor_cascade(
-            sampler, data, derive_seed(world_seed, "rumor"), rand_state
-        )
+        rumor_key, choices_key = world_keys(sampler.rng.seed, index)
+        arrival, first_event = self._rumor_cascade(sampler, data, rumor_key)
         at_risk = [
             (end, int(first_event[end]))
             for end in sampler.end_ids
             if first_event[end] >= 0
         ]
-        row_table = _RowTable(np_mod, data.node_count, sampler.steps)
-        # sha256 state of derive_seed(world_seed, "choices", <node>) up to
-        # the node component; _draw_row finalises a copy per node.
-        prefix = hashlib.sha256(
-            str(world_seed).encode("ascii") + b"/'choices'"
-        )
-
-        def draw(node: int):
-            return self._draw_row(sampler, data, rand_state, prefix, node)
-
+        row_table = _RowTable(np_mod, data, sampler.steps, choices_key)
         rr_sets: List[Tuple[int, Tuple[int, ...]]] = []
         if at_risk:
             edge_count = len(data.in_indices)
@@ -569,7 +373,6 @@ class NumpySketchKernel:
                     sampler.steps,
                     block,
                     row_table,
-                    draw,
                     edge_masks,
                     edge_done,
                 )
@@ -600,7 +403,7 @@ class NumpySketchKernel:
             positions = self._ragged_positions(
                 np_mod, data.indptr[frontier], counts, total
             )
-            heads = np_mod.unique(data.indices[positions])
+            heads = _unique(np_mod, data.indices[positions])
             heads = heads[distance[heads] < 0]
             if heads.size == 0:
                 break
@@ -637,7 +440,7 @@ class NumpySketchKernel:
             positions = self._ragged_positions(
                 np_mod, data.in_indptr[frontier], counts, total
             )
-            tails = np_mod.unique(data.in_indices[positions])
+            tails = _unique(np_mod, data.in_indices[positions])
             tails = tails[stamp[tails] != mark]
             if tails.size == 0:
                 break
@@ -666,10 +469,8 @@ class NumpySketchKernel:
             and sampler.steps <= _MAX_FREXP_STEPS
         ):
             data = self._graph_data(sampler.graph)
-            rand_state = self._np.random.RandomState()
             return [
-                self._opoao_world(sampler, data, index, rand_state)
-                for index in index_list
+                self._opoao_world(sampler, data, index) for index in index_list
             ]
         return [sampler.sample_world(index) for index in index_list]
 

@@ -30,11 +30,16 @@ Two samplers, one per diffusion semantics:
   ``d(u → v) <= t_R(v)`` (Theorem 2's coverage criterion). ``RR(v)`` is
   a reverse BFS of depth ``t_R(v)`` — the BBST of ``v``, flattened.
 
-Both samplers derive every random draw from ``rng.replica(index)``, so
-world ``i`` is identical no matter when, in what order, or in which
-process it is sampled — the property that makes
+Every random draw of an OPOAO world is a pure function of (world key,
+node, step) through one counter-keyed rule, :func:`pick`: world ``i``
+has two keys (:func:`world_keys`, one for the rumor record and one for
+the choice table), and the out-neighbor a node picks at a step hashes
+the key with the (node, step) cell. No draw depends on another, so world
+``i`` is identical no matter when, in what order, or in which process
+it is sampled — the property that makes
 :class:`repro.sketch.store.SketchStore` incrementally extendable and
-parallel-safe.
+parallel-safe — and a batched kernel can evaluate any block of cells
+at once (:mod:`repro.sketch.kernels`).
 
 Each sampled world also carries a **dependency footprint**: the set of
 node ids whose adjacency rows the sampling actually read (rumor-reached
@@ -52,13 +57,13 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.diffusion.base import DEFAULT_MAX_HOPS
 from repro.diffusion.timestamps import record_cascade
 from repro.errors import SeedError, ValidationError
 from repro.graph.compact import IndexedDiGraph
-from repro.rng import RngStream
+from repro.rng import RngStream, derive_seed
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -68,10 +73,58 @@ __all__ = [
     "sampler_for",
     "rebuild_sampler",
     "SKETCH_SEMANTICS",
+    "PICK_RULE_VERSION",
+    "pick",
+    "world_keys",
 ]
 
 #: semantics names accepted by :func:`sampler_for` (and the CLI).
 SKETCH_SEMANTICS = ("opoao", "doam")
+
+#: Version of the draw rule below (:func:`world_keys` and :func:`pick`).
+#: Sketch checkpoint keys carry it, so worlds drawn under another rule
+#: never resume into a store.
+PICK_RULE_VERSION = 1
+
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(value: Any) -> Any:
+    """SplitMix64's finaliser: a bijective mix of a 64-bit value.
+
+    Takes a python int or a NumPy ``uint64`` array; the mask is a no-op
+    on ``uint64``'s wrapping arithmetic, so both give the same bits.
+    """
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return value ^ (value >> 31)
+
+
+def pick(key: Any, node: Any, step: Any, degree: Any) -> Any:
+    """The out-neighbor position ``node`` picks at ``step`` under ``key``.
+
+    With ``mix64`` SplitMix64's finaliser, ``h = mix64(key ^
+    mix64((node << 32) | step))`` and the pick is ``((h >> 32) * degree)
+    >> 32``: uniform over ``range(degree)`` up to a bias below
+    ``degree / 2**32``, and exact in 64-bit arithmetic for node ids,
+    steps and degrees below ``2**32``. The python sampler
+    calls it one cell at a time with ints; the numpy kernel calls it on
+    whole blocks with broadcast ``uint64`` arrays (a python int ``key``
+    or ``step`` mixes with them), and both get the same picks.
+    """
+    mixed = _mix64(key ^ _mix64((node << 32) | step))
+    return ((mixed >> 32) * degree) >> 32
+
+
+def world_keys(base_seed: int, index: int) -> Tuple[int, int]:
+    """``(rumor_key, choices_key)`` of world ``index`` under ``base_seed``.
+
+    The rumor record's picks use the first, the protector choice
+    table's the second: :func:`repro.rng.derive_seed` of the replica
+    seed with ``"rumor"`` and ``"choices"``.
+    """
+    world_seed = derive_seed(base_seed, "replica", int(index))
+    return derive_seed(world_seed, "rumor"), derive_seed(world_seed, "choices")
 
 
 class WorldSample:
@@ -143,15 +196,6 @@ class WorldSample:
         return (self.index, self._roots, self._offsets, self._members, self._footprint)
 
     def __setstate__(self, state) -> None:
-        if isinstance(state, tuple) and len(state) == 2:
-            # Pre-packing pickle: ({}, {slot: value}) from older runs.
-            payload = state[1] or {}
-            self.__init__(
-                payload["index"],
-                payload.get("rr_sets", []),
-                footprint=payload.get("footprint"),
-            )
-            return
         self.index, self._roots, self._offsets, self._members, self._footprint = state
         self._view = None
 
@@ -177,7 +221,8 @@ class OPOAORRSampler:
         rumor_ids: rumor originators (node ids; non-empty).
         bridge_end_ids: the bridge ends ``B`` (node ids).
         steps: selection-step horizon (paper: 31).
-        rng: base stream; world ``i`` draws only from ``rng.replica(i)``.
+        rng: base stream; world ``i`` draws only under
+            ``world_keys(rng.seed, i)``.
     """
 
     name = "OPOAO-RR"
@@ -199,23 +244,25 @@ class OPOAORRSampler:
         self.steps = int(check_positive(steps, "steps"))
         self.rng = rng or RngStream(name="opoao-rr")
 
-    def _choice_row(self, world: RngStream, node: int) -> Tuple[int, ...]:
+    def _choice_row(self, key: int, node: int) -> Tuple[int, ...]:
         """The node's out-neighbor pick for every step of this world.
 
-        Drawn from a stream forked off the world by node id, so the row
-        is identical regardless of the order reverse traversals touch it.
+        Each cell is :func:`pick` of (``key``, node, step), so the row is
+        identical regardless of the order reverse traversals touch it.
         """
         neighbors = self.graph.out[node]
-        stream = world.fork("choices", node)
         count = len(neighbors)
-        return tuple(neighbors[stream.randrange(count)] for _ in range(self.steps))
+        return tuple(
+            neighbors[pick(key, node, step, count)]
+            for step in range(1, self.steps + 1)
+        )
 
     def _reverse_reachable(
         self,
         end: int,
         deadline: int,
         rows: Dict[int, Tuple[int, ...]],
-        world: RngStream,
+        key: int,
     ) -> Tuple[int, ...]:
         """Nodes whose singleton cascade reaches ``end`` by ``deadline``.
 
@@ -237,7 +284,7 @@ class OPOAORRSampler:
             for tail in graph.inn[node]:
                 row = rows.get(tail)
                 if row is None:
-                    row = self._choice_row(world, tail)
+                    row = self._choice_row(key, tail)
                     rows[tail] = row
                 # Latest step t <= arrive_by at which `tail` picks `node`;
                 # the cascade must have arrived at `tail` strictly before t.
@@ -255,7 +302,7 @@ class OPOAORRSampler:
         """Graph-free description a pool worker rebuilds this sampler from.
 
         Only the base seed matters for reproduction: world ``i`` derives
-        everything from ``rng.replica(i)``, so a rebuilt sampler yields
+        everything from ``world_keys(rng.seed, i)``, so a rebuilt sampler yields
         bit-identical :class:`WorldSample`\\ s for every index.
         """
         return {
@@ -275,9 +322,13 @@ class OPOAORRSampler:
         (their in-rows drive the reverse Dijkstra), and every bridge end
         (its in-row feeds the deadline lookup).
         """
-        world = self.rng.replica(index)
+        rumor_key, choices_key = world_keys(self.rng.seed, index)
+
+        def chooser(node: int, neighbors: Sequence[int], step: int) -> int:
+            return neighbors[pick(rumor_key, node, step, len(neighbors))]
+
         rumor = record_cascade(
-            self.graph, self.rumor_ids, steps=self.steps, rng=world.fork("rumor")
+            self.graph, self.rumor_ids, steps=self.steps, chooser=chooser
         )
         rows: Dict[int, Tuple[int, ...]] = {}
         rr_sets: List[Tuple[int, Tuple[int, ...]]] = []
@@ -285,7 +336,9 @@ class OPOAORRSampler:
             deadline = rumor.min_in_timestamp(end, self.graph.inn[end])
             if deadline is None:
                 continue  # the rumor never arrives; nothing to save
-            rr_sets.append((end, self._reverse_reachable(end, deadline, rows, world)))
+            rr_sets.append(
+                (end, self._reverse_reachable(end, deadline, rows, choices_key))
+            )
         footprint = set(rumor.arrival)
         footprint.update(rows)
         footprint.update(self.end_ids)

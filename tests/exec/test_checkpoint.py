@@ -202,6 +202,32 @@ class TestRISResume:
         checkpointed = self.make_selector(tmp_path).select(fig2_context, budget=2)
         assert checkpointed == plain
 
+    def test_entry_keyed_without_draw_rule_refuses_to_resume(
+        self, fig2_context, tmp_path
+    ):
+        """A store keyed before the draw rule joined the key never resumes.
+
+        Its worlds came from another rule; restoring them and sampling
+        the rest under the current one would mix the two.
+        """
+        selector = self.make_selector()
+        selector.select(fig2_context, budget=2)
+        state = selector.make_store(fig2_context).state_dict()
+        legacy_key = run_key(
+            kind="sketch",
+            semantics="opoao",
+            steps=selector.steps,
+            seed=selector.rng.seed,
+            nodes=fig2_context.indexed.node_count,
+            edges=fig2_context.indexed.edge_count,
+            rumors=sorted(fig2_context.rumor_seed_ids()),
+            ends=sorted(fig2_context.bridge_end_ids()),
+        )
+        path = tmp_path / "run.ckpt"
+        CheckpointStore(path).save("sketch", legacy_key, state, rounds=8)
+        with pytest.raises(CheckpointError):
+            self.make_selector(tmp_path).select(fig2_context, budget=2)
+
 
 @pytest.fixture
 def small_batches(monkeypatch):

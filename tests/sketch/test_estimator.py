@@ -65,18 +65,33 @@ class TestSampling:
         assert estimator.store.worlds == 16
 
     def test_epsilon_triggers_adaptive_growth(self, fig2_context):
-        estimator = SketchSigmaEstimator(
-            fig2_context,
-            semantics="opoao",
-            worlds=4,
-            epsilon=0.05,
-            delta=0.05,
-            max_worlds=512,
-            rng=RngStream(5),
-        )
-        estimator.sigma(["v1"])
-        assert estimator.store.worlds > 4
-        assert estimator.store.worlds <= 512
+        """The stopping rule, over seeds: grow exactly when 4 worlds miss it.
+
+        Whether one seed's first four worlds meet the (ε, δ) target is
+        luck, so every seed is checked against its own 4-world interval.
+        """
+        protectors = fig2_context.indexed.indices(["v1"])
+        grew = 0
+        for seed in range(10):
+            first_four = SketchStore(
+                sampler_for("opoao", fig2_context, rng=RngStream(seed))
+            ).ensure_worlds(4)
+            estimator = SketchSigmaEstimator(
+                fig2_context,
+                semantics="opoao",
+                worlds=4,
+                epsilon=0.05,
+                delta=0.05,
+                max_worlds=512,
+                rng=RngStream(seed),
+            )
+            estimator.sigma(["v1"])
+            if first_four.precision_ok(protectors, 0.05, 0.05):
+                assert estimator.store.worlds == 4, seed
+            else:
+                assert 4 < estimator.store.worlds <= 512, seed
+                grew += 1
+        assert grew >= 1
 
     def test_shared_store_reuses_samples(self, fig2_context):
         store = SketchStore(

@@ -6,14 +6,13 @@ replica index, the ``numpy`` backend returns the same
 sorted members) and the same dependency ``footprint`` — as the
 per-world python samplers, for both OPOAO and DOAM semantics. Plus an
 exact small-graph oracle for the batched DOAM depth-bounded reverse
-BFS, the MT19937 word-stream replay units, and registry degradation
-(this module runs in the no-NumPy CI job; vectorized cases skip
-themselves).
+BFS and registry degradation (this module runs in the no-NumPy CI job;
+vectorized cases skip themselves). The pick rule both backends share
+has its own unit tests in ``test_pick_rule.py``.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 
 import pytest
@@ -26,9 +25,6 @@ from repro.graph.generators import erdos_renyi
 from repro.rng import RngStream
 from repro.sketch import kernels
 from repro.sketch.kernels import (
-    _MIN_VECTOR_SEED,
-    _ReplayStream,
-    NumpySketchKernel,
     PythonSketchKernel,
     available_sketch_backends,
     register_sketch_backend,
@@ -39,7 +35,7 @@ from repro.sketch.rrset import DOAMRRSampler, OPOAORRSampler
 from repro.sketch.store import SketchStore
 
 try:
-    import numpy
+    import numpy  # noqa: F401
 
     HAVE_NUMPY = True
 except ImportError:  # pragma: no cover - the no-NumPy CI job
@@ -67,17 +63,19 @@ def assert_worlds_identical(expected, actual):
 
 @needs_numpy
 class TestOPOAODifferential:
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         graph_seed=st.integers(min_value=0, max_value=50),
         rng_seed=st.integers(min_value=0, max_value=10_000),
+        # 4 and 8: the horizons the serve and select workloads sample at.
+        steps=st.sampled_from([4, 8, 9]),
     )
-    def test_bit_identical_per_replica(self, graph_seed, rng_seed):
+    def test_bit_identical_per_replica(self, graph_seed, rng_seed, steps):
         graph = build_graph(graph_seed)
 
         def sampler():
             return OPOAORRSampler(
-                graph, RUMOR, ENDS, steps=9, rng=RngStream(rng_seed)
+                graph, RUMOR, ENDS, steps=steps, rng=RngStream(rng_seed)
             )
 
         reference = resolve_sketch_backend("python").sample(sampler(), range(6))
@@ -92,15 +90,36 @@ class TestOPOAODifferential:
         reference = [sampler.sample_world(index) for index in shuffled]
         assert_worlds_identical(reference, vectorized)
 
-    def test_forced_generic_array_path(self):
-        """With list-CSR disabled the generic ndarray cascade must agree."""
-        kernel = NumpySketchKernel()
-        kernel.list_csr_max_edges = 0
-        graph = build_graph(11)
-        sampler = OPOAORRSampler(graph, RUMOR, ENDS, steps=9, rng=RngStream(5))
-        vectorized = kernel.sample(sampler, range(4))
-        reference = [sampler.sample_world(index) for index in range(4)]
+    def test_bit_identical_with_a_hub_past_two_to_the_sixteen(self):
+        """Picks from an out-degree above 2^16, in the cascade and the rows.
+
+        The rumor starts at the hub, so every head it picks lands in the
+        footprint; the hub is also an in-neighbor of every end, so its
+        choice row is drawn.
+        """
+        leaves = (1 << 16) + 37
+        hub = 0
+        ends = [leaves - 3, leaves - 2, leaves - 1, leaves]
+        edges = [(hub, leaf) for leaf in range(1, leaves + 1)]
+        edges += [(leaf, leaf % leaves + 1) for leaf in range(1, leaves + 1)]
+        edges += [(ends[0], hub), (ends[0], 2), (2, ends[1]), (2, ends[2])]
+        out = [[] for _ in range(leaves + 1)]
+        inn = [[] for _ in range(leaves + 1)]
+        for tail, head in edges:
+            out[tail].append(head)
+            inn[head].append(tail)
+        graph = IndexedDiGraph(list(range(leaves + 1)), out, inn)
+        assert graph.out_degree(hub) > 1 << 16
+
+        def sampler():
+            return OPOAORRSampler(
+                graph, [hub, ends[0]], ends, steps=8, rng=RngStream(3)
+            )
+
+        reference = resolve_sketch_backend("python").sample(sampler(), range(4))
+        vectorized = resolve_sketch_backend("numpy").sample(sampler(), range(4))
         assert_worlds_identical(reference, vectorized)
+        assert any(world.rr_sets for world in reference)
 
     def test_horizon_past_frexp_range_defers_to_python(self):
         graph = build_graph(7)
@@ -174,38 +193,6 @@ class TestDOAMDifferentialAndOracle:
         assert sampler._cached is not None
         sampler.forget()
         assert sampler._cached is None
-
-
-class TestReplayStream:
-    def test_small_seed_falls_back_to_stdlib(self):
-        """Seeds below 2^32 replay through random.Random exactly."""
-        seed = 123456789
-        assert seed < _MIN_VECTOR_SEED
-        stream = _ReplayStream(None, None, seed)
-        oracle = random.Random(seed)
-        draws = [3, 1, 7, 2, 10, 100, 1, 5]
-        assert [stream.randrange(n) for n in draws] == [
-            oracle.randrange(n) for n in draws
-        ]
-
-    @needs_numpy
-    def test_multi_word_seed_replays_cpython_stream(self):
-        seed = (987654321 << 40) | 12345  # comfortably past 2^32
-        stream = _ReplayStream(numpy, numpy.random.RandomState(), seed)
-        oracle = random.Random(seed)
-        draws = [5, 2, 9, 1, 33, 1000, 7, 3, 64, 17] * 20
-        assert [stream.randrange(n) for n in draws] == [
-            oracle.randrange(n) for n in draws
-        ]
-
-    @needs_numpy
-    def test_block_draws_match_sequential(self):
-        seed = 1 << 62
-        block = _ReplayStream(
-            numpy, numpy.random.RandomState(), seed
-        ).randrange_block(7, 40)
-        sequential = _ReplayStream(numpy, numpy.random.RandomState(), seed)
-        assert block.tolist() == [sequential.randrange(7) for _ in range(40)]
 
 
 class TestRegistry:
