@@ -9,11 +9,12 @@ collector emits the deterministic work counters (``kernel.worlds``,
 ``kernel.hops``, ``kernel.activations``, ``selector.sigma_evaluations``)
 as ``BENCH_kernels_<backend>.json`` for the CI regression gate.
 
-The two backends run the *same* candidate workload with the same seeds,
-so comparing their BENCH documents' wall clocks reproduces the ≥5×
-acceptance measurement (``repro bench --backend numpy`` is the CLI
-equivalent); their ``kernel.*`` counters differ only through the
-native samplers' different random streams.
+The two backends run the *same* candidate workload with the same seeds
+on the same sampled worlds, so comparing their BENCH documents' wall
+clocks reproduces the ≥5× acceptance measurement (``repro bench
+--backend numpy`` is the CLI equivalent), and
+:func:`test_backends_agree_on_the_gated_pass` enforces that their σ̂
+lists and ``kernel.*``/``selector.*`` counters are identical.
 """
 
 import pytest
@@ -26,6 +27,7 @@ from repro.diffusion.opoao import OPOAOModel
 from repro.kernels.registry import available_backends
 from repro.kernels.sigma import BatchedSigmaEvaluator
 from repro.lcrb.pipeline import draw_rumor_seeds
+from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
 
 #: Coupled worlds per sigma evaluation (the CLI bench default is 50).
@@ -69,6 +71,12 @@ def sigma_sweep(evaluator, candidates):
     return [evaluator.sigma([candidate]) for candidate in candidates]
 
 
+def gated_pass(context, candidates, backend_name):
+    """The deterministic counter pass: a fresh evaluator (fixed seed),
+    exactly one baseline + one σ̂ per candidate."""
+    return sigma_sweep(make_evaluator(context, backend_name), candidates)
+
+
 @pytest.mark.parametrize("backend_name", available_backends())
 def test_kernels_sigma_throughput(benchmark, instance, bench_metrics,
                                   backend_name):
@@ -81,11 +89,9 @@ def test_kernels_sigma_throughput(benchmark, instance, bench_metrics,
     evaluator.baseline  # warm the world sample + baseline race
     benchmark(lambda: sigma_sweep(evaluator, candidates))
 
-    # Deterministic counter pass for the regression gate: a fresh
-    # evaluator (fixed seed), exactly one baseline + CANDIDATES sweeps.
+    # Deterministic counter pass for the regression gate.
     with bench_metrics.collect():
-        gated = make_evaluator(context, backend_name)
-        sigmas = sigma_sweep(gated, candidates)
+        sigmas = gated_pass(context, candidates, backend_name)
     assert all(value >= 0.0 for value in sigmas)
     bench_metrics.emit(
         f"kernels_{backend_name}",
@@ -96,3 +102,23 @@ def test_kernels_sigma_throughput(benchmark, instance, bench_metrics,
             "max_hops": MAX_HOPS,
         },
     )
+
+
+def test_backends_agree_on_the_gated_pass(instance):
+    """Both backends race the same worlds: equal σ̂ and work counters."""
+    if "numpy" not in available_backends():
+        pytest.skip("numpy backend unavailable")
+    context, candidates = instance
+    runs = {}
+    for backend_name in ("python", "numpy"):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            sigmas = gated_pass(context, candidates, backend_name)
+        counters = {
+            name: value
+            for name, value in registry.counter_values().items()
+            if name.startswith(("kernel.", "selector."))
+        }
+        assert counters.get("kernel.worlds", 0) > 0
+        runs[backend_name] = (sigmas, counters)
+    assert runs["python"] == runs["numpy"]

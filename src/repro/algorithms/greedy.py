@@ -192,10 +192,8 @@ class GreedySelector(ProtectorSelector):
             :class:`SigmaEstimator`; a kernel backend name (``"python"``/
             ``"numpy"``/``"auto"``) swaps in the batched
             :class:`~repro.kernels.sigma.BatchedSigmaEvaluator` (same
-            coupled-worlds semantics, one vectorized sweep per σ̂ call).
-        world_source: world sampler for the batched estimator —
-            ``"native"`` (fastest) or ``"shared"`` (bit-identical across
-            backends). Ignored when ``backend`` is ``None``.
+            coupled-worlds semantics, one vectorized sweep per σ̂ call;
+            every backend races the same worlds and picks the same set).
         checkpoint: a path or :class:`~repro.exec.checkpoint.\
             CheckpointStore`; when set, every completed selection round
             is saved, and a matching checkpoint resumes from its chosen
@@ -220,7 +218,6 @@ class GreedySelector(ProtectorSelector):
         max_candidates: Optional[int] = None,
         rng: Optional[RngStream] = None,
         backend: Optional[str] = None,
-        world_source: str = "native",
         checkpoint=None,
         executor=None,
     ) -> None:
@@ -234,7 +231,6 @@ class GreedySelector(ProtectorSelector):
         self.max_candidates = max_candidates
         self.rng = rng or RngStream(name="greedy")
         self.backend = backend
-        self.world_source = world_source
         self.checkpoint = checkpoint
         self.executor = executor
         #: σ̂ evaluations consumed by the most recent select() call — the
@@ -262,7 +258,6 @@ class GreedySelector(ProtectorSelector):
                 max_hops=self.max_hops,
                 rng=self.rng.fork("sigma"),
                 backend=self.backend,
-                world_source=self.world_source,
                 executor=self.executor,
             )
         return SigmaEstimator(
@@ -318,8 +313,13 @@ class GreedySelector(ProtectorSelector):
         checkpoint seeds a longer one. CELF shares the kind and the key
         — under the coupled deterministic σ̂ it picks the same prefix as
         exhaustive greedy.
+
+        ``draws`` names the kernel estimator's draw rule (``None`` for
+        the per-replica estimator); no backend is named, since every
+        backend races the same worlds.
         """
         from repro.exec.checkpoint import run_key
+        from repro.rng import PICK_RULE_VERSION
 
         return run_key(
             kind="greedy",
@@ -329,8 +329,7 @@ class GreedySelector(ProtectorSelector):
             seed=self.rng.seed,
             pool=self.pool,
             max_candidates=self.max_candidates,
-            backend=self.backend or "",
-            world_source=self.world_source,
+            draws=None if self.backend is None else PICK_RULE_VERSION,
             nodes=context.indexed.node_count,
             edges=context.indexed.edge_count,
             rumors=sorted(context.rumor_seed_ids()),

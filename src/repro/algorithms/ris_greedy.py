@@ -151,7 +151,7 @@ BatchedSigmaEvaluator`) and records the achieved protected fraction in
         rule never mix into the store.
         """
         from repro.exec.checkpoint import run_key
-        from repro.sketch.rrset import PICK_RULE_VERSION
+        from repro.rng import PICK_RULE_VERSION
 
         return run_key(
             kind="sketch",

@@ -141,14 +141,16 @@ def find_bridge_ends(
     Implemented directly with one multi-source BFS (equivalent to, and
     cheaper than, unioning per-seed RFSTs — the per-tree structure is only
     needed when inspecting paths, for which use :func:`build_rfsts`).
+    Candidates come from the community's out-rows (a head outside
+    ``C_r`` of an edge leaving ``C_r`` has an in-neighbor inside it).
     """
     community, seeds = _check_inputs(graph, rumor_community, rumor_seeds)
     reachable = multi_source_distances(graph, seeds)
     return frozenset(
-        node
-        for node in reachable
-        if node not in community
-        and any(tail in community for tail in graph.predecessors(node))
+        head
+        for tail in community
+        for head in graph.successors(tail)
+        if head in reachable and head not in community
     )
 
 
@@ -178,7 +180,7 @@ def find_bridge_end_ids(
                 f"rumor seed {seed!r} is outside the rumor community "
                 "(Definition 2 requires S_R ⊆ V(C_k))"
             )
-    out, inn = graph.out, graph.inn
+    out = graph.out
     reached: Set[int] = set(seeds)
     frontier: List[int] = list(seeds)
     while frontier:
@@ -190,10 +192,10 @@ def find_bridge_end_ids(
                     next_frontier.append(head)
         frontier = next_frontier
     return frozenset(
-        node
-        for node in reached
-        if node not in community
-        and any(tail in community for tail in inn[node])
+        head
+        for tail in community
+        for head in out[tail]
+        if head in reached and head not in community
     )
 
 

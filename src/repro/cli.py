@@ -458,12 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-worlds", type=int, default=4096, help="adaptive doubling cap"
     )
     serve.add_argument(
-        "--invalidation",
-        default="footprint",
-        choices=["footprint", "members"],
-        help="world-staleness rule for edge updates (footprint is exact)",
-    )
-    serve.add_argument(
         "--socket",
         default=None,
         metavar="PATH",
@@ -1119,7 +1113,6 @@ def _cmd_serve(args) -> int:
         seed=args.seed,
         initial_worlds=args.initial_worlds,
         max_worlds=args.max_worlds,
-        invalidation=args.invalidation,
         executor=getattr(args, "executor", None),
         backend=getattr(args, "backend", None),
     )

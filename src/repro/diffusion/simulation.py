@@ -7,10 +7,13 @@ aggregates per-hop infected/protected counts into a
 :class:`SimulationAggregate`; deterministic models (DOAM) short-circuit to
 a single run.
 
-It is the library's one replica runner. Replica ``i`` always runs on
-``rng.replica(i)``, whichever process executes it, and comes back as a
-compact :class:`ReplicaRecord`; the aggregate folds the records **in
-replica order**. So a run over a
+It is the library's one replica runner, two engines on one replica loop
+(:func:`~repro.exec.checkpoint.run_replicas`): replica ``i`` runs the
+model on ``rng.replica(i)``, or with a kernel ``backend`` races the
+world :func:`~repro.kernels.worlds.sample_worlds` draws for ``i`` (the
+same world in any chunk, on any backend). Either way it comes back as a
+compact :class:`ReplicaRecord`, whichever process runs it, and the
+aggregate folds the records **in replica order**. So a run over a
 :class:`~repro.exec.pool.ParallelExecutor`, a serial run, and a run
 resumed from a checkpoint are bit-identical (same means, same Welford
 variance; tested in ``tests/diffusion/test_parallel.py``).
@@ -32,7 +35,7 @@ from repro.exec.checkpoint import run_key, run_replicas
 from repro.exec.pool import ParallelExecutor
 from repro.graph.compact import IndexedDiGraph
 from repro.obs.registry import metrics
-from repro.rng import RngStream
+from repro.rng import PICK_RULE_VERSION, RngStream, derive_seed
 from repro.utils.stats import RunningStats
 from repro.utils.validation import check_positive
 
@@ -159,16 +162,22 @@ class SimulationAggregate:
 
 
 def _simulate_setup(graph, payload):
-    """Replica-run state shared by every chunk (pool worker or in-process)."""
-    seed = payload["seed"]
-    return {
-        "model": payload["model"],
-        "graph": graph,
-        "seeds": payload["seeds"],
-        "base": None if seed is None else RngStream(seed, name="mc-replicas"),
-        "max_hops": payload["max_hops"],
-        "end_ids": payload["end_ids"],
-    }
+    """Replica-run state shared by every chunk (pool worker or in-process).
+
+    The kernel engine's imports stay in here, so the zero-dependency
+    per-replica engine never touches the kernels package.
+    """
+    state = dict(payload, graph=graph)
+    if payload["backend"] is None:
+        seed = payload["seed"]
+        state["base"] = None if seed is None else RngStream(seed, name="mc-replicas")
+    else:
+        from repro.kernels.registry import resolve_backend
+        from repro.kernels.spec import spec_for_model
+
+        state["backend"] = resolve_backend(payload["backend"])
+        state["spec"] = spec_for_model(payload["model"])
+    return state
 
 
 def _simulate_chunk(state, replica_indices) -> List[ReplicaRecord]:
@@ -190,6 +199,34 @@ def _simulate_chunk(state, replica_indices) -> List[ReplicaRecord]:
     return records
 
 
+def _kernel_chunk(state, replica_indices) -> List[ReplicaRecord]:
+    """Race a chunk of replicas' worlds in one batched kernel call."""
+    from repro.kernels.worlds import sample_worlds
+
+    graph, max_hops = state["graph"], state["max_hops"]
+    worlds = sample_worlds(
+        graph, state["spec"], replica_indices, max_hops, state["seed"]
+    )
+    outcome = state["backend"].run_worlds(
+        graph, state["spec"], worlds, state["seeds"], max_hops
+    )
+    hops = range(max_hops + 1)
+    records = [
+        ReplicaRecord(
+            tuple(outcome.infected_at(world, hop) for hop in hops),
+            tuple(outcome.protected_at(world, hop) for hop in hops),
+            outcome.final_infected(world),
+            outcome.final_protected(world),
+            _end_counts(outcome.states[world], state["end_ids"]),
+        )
+        for world in range(outcome.batch)
+    ]
+    registry = metrics()
+    if registry.enabled:
+        registry.counter("sim.worlds").add(len(records))
+    return records
+
+
 class MonteCarloSimulator:
     """Run a model repeatedly and aggregate its traces.
 
@@ -199,17 +236,18 @@ class MonteCarloSimulator:
             always run once.
         max_hops: horizon for every run (paper default: 31).
         backend: ``None`` runs the model per replica (the reference
-            path); a kernel backend name (``"python"``/``"numpy"``/
-            ``"auto"``) races all replicas in one batched kernel call
-            instead. The model must be reducible to a kernel spec.
+            engine); a kernel backend name (``"python"``/``"numpy"``/
+            ``"auto"``) races each chunk of replicas in one batched
+            kernel call instead, on worlds every backend draws alike.
+            The model must be reducible to a kernel spec.
         executor: the :class:`~repro.exec.pool.ParallelExecutor` whose
-            warm pool runs the per-replica path's replicas; ``None``
-            runs them serially in-process. Ignored with ``backend``.
+            warm pool runs the replicas (either engine); ``None`` runs
+            them serially in-process.
         checkpoint: a path or :class:`~repro.exec.checkpoint.\
-            CheckpointStore`; the per-replica path of a stochastic model
-            saves its replica batches under kind ``"mc"`` and resumes a
-            matching saved prefix bit-identically. Ignored with
-            ``backend`` or a deterministic model.
+            CheckpointStore`; a stochastic model's replica batches are
+            saved under kind ``"mc"`` and a matching saved prefix
+            resumes bit-identically (either engine). Ignored for a
+            deterministic model.
 
     Example:
         >>> # doctest setup omitted; see tests/diffusion/test_simulation.py
@@ -231,49 +269,6 @@ class MonteCarloSimulator:
         self.checkpoint = checkpoint
         self._executor = executor
 
-    def _simulate_batched(
-        self,
-        graph: IndexedDiGraph,
-        seeds: SeedSets,
-        rng: Optional[RngStream],
-        end_ids: Sequence[int],
-    ) -> SimulationAggregate:
-        # Imported here (and from the leaf modules) so the zero-dependency
-        # per-replica path never touches the kernels package.
-        from repro.kernels.registry import resolve_backend
-        from repro.kernels.spec import spec_for_model
-        from repro.rng import derive_seed
-
-        registry = metrics()
-        spec = spec_for_model(self.model)
-        backend = resolve_backend(self.backend)
-        batch = self.runs if spec.stochastic else 1
-        if spec.stochastic and rng is None:
-            raise ValueError(
-                f"{self.model.name} is stochastic and needs an RngStream"
-            )
-        seed = derive_seed(rng.seed, "mc-worlds") if rng is not None else 0
-        with registry.timer("time.simulate"):
-            worlds = backend.sample_worlds(
-                graph, spec, batch, max_hops=self.max_hops, seed=seed
-            )
-            outcome = backend.run_worlds(
-                graph, spec, worlds, seeds, self.max_hops
-            )
-        aggregate = SimulationAggregate(self.max_hops)
-        hops = range(self.max_hops + 1)
-        for world in range(batch):
-            aggregate.add(ReplicaRecord(
-                tuple(outcome.infected_at(world, hop) for hop in hops),
-                tuple(outcome.protected_at(world, hop) for hop in hops),
-                outcome.final_infected(world),
-                outcome.final_protected(world),
-                _end_counts(outcome.states[world], end_ids),
-            ))
-        if registry.enabled:
-            registry.counter("sim.worlds").add(batch)
-        return aggregate
-
     def simulate(
         self,
         graph: IndexedDiGraph,
@@ -286,9 +281,10 @@ class MonteCarloSimulator:
         Args:
             graph: indexed graph.
             seeds: seed sets (node ids).
-            rng: base stream; replica ``i`` runs on ``rng.replica(i)`` so
-                results are independent of iteration order. Required for
-                stochastic models.
+            rng: base stream; replica ``i`` runs on ``rng.replica(i)``
+                (the kernel engine: on the world its seed and ``i``
+                key), so results are independent of iteration order.
+                Required for stochastic models.
             end_ids: bridge ends whose final states every record
                 classifies (``ReplicaRecord.end_counts``).
 
@@ -297,8 +293,6 @@ class MonteCarloSimulator:
             ``aggregate.records`` (replica order).
         """
         end_ids = tuple(end_ids)
-        if self.backend is not None:
-            return self._simulate_batched(graph, seeds, rng, end_ids)
         stochastic = self.model.stochastic
         if stochastic and rng is None:
             raise ValueError(f"{self.model.name} is stochastic and needs an RngStream")
@@ -306,16 +300,24 @@ class MonteCarloSimulator:
             "model": self.model,
             "seeds": seeds,
             "seed": rng.seed if stochastic and rng is not None else None,
+            "backend": None,
             "max_hops": self.max_hops,
             "end_ids": end_ids,
         }
+        chunk = _simulate_chunk
+        if self.backend is not None:
+            from repro.kernels.registry import resolve_backend
+
+            chunk = _kernel_chunk
+            payload["backend"] = resolve_backend(self.backend).name
+            payload["seed"] = derive_seed(payload["seed"] or 0, "mc-worlds")
         if self._executor is None:
-            run_range = partial(_simulate_chunk, _simulate_setup(graph, payload))
+            run_range = partial(chunk, _simulate_setup(graph, payload))
         else:
             run_range = partial(
                 self._executor.map_items,
                 _simulate_setup,
-                _simulate_chunk,
+                chunk,
                 payload,
                 graph=graph,
             )
@@ -339,8 +341,11 @@ class MonteCarloSimulator:
         Every cascade seed set and the priority order are part of the key:
         a checkpoint written for a different cascade configuration (or by
         the pre-K-cascade engine, which keyed only rumors/protectors) must
-        raise rather than silently seed a foreign resume.
+        raise rather than silently seed a foreign resume. The kernel
+        engine adds its draw rule's version (``draws``) but no backend
+        name: every backend races the same worlds.
         """
+        fields = {} if self.backend is None else {"draws": PICK_RULE_VERSION}
         return run_key(
             kind="mc",
             model=self.model.name,
@@ -351,6 +356,7 @@ class MonteCarloSimulator:
             cascades=[sorted(cascade) for cascade in seeds.cascades],
             priority=list(seeds.priority),
             ends=list(end_ids),
+            **fields,
         )
 
     def __repr__(self) -> str:

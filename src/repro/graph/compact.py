@@ -22,6 +22,7 @@ adjacency is then built lazily, only if something actually walks
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError, NodeNotFoundError
@@ -429,14 +430,13 @@ class IndexedDiGraph:
         never be served after an update.
         """
         if self._csr is None:
-            indptr = [0]
-            indices: List[int] = []
-            weights: List[float] = []
-            for neighbors, row_weights in zip(self.out, self.out_weights):
-                indices.extend(neighbors)
-                weights.extend(row_weights)
-                indptr.append(len(indices))
-            self._csr = CSRArrays(indptr, indices, weights)
+            # Rows already hold ints; build the tuples straight from them
+            # instead of re-boxing every element in CSRArrays.__init__.
+            csr = CSRArrays.__new__(CSRArrays)
+            csr.indptr = tuple(accumulate(map(len, self.out), initial=0))
+            csr.indices = tuple(chain.from_iterable(self.out))
+            csr.weights = tuple(map(float, chain.from_iterable(self.out_weights)))
+            self._csr = csr
         return self._csr
 
     # -- basic accessors -------------------------------------------------------

@@ -10,15 +10,16 @@ Public API:
   :func:`~repro.kernels.spec.spec_for_model` — reduce a diffusion model
   to its world-sample semantics.
 * :class:`~repro.kernels.worlds.WorldBatch` /
-  :func:`~repro.kernels.worlds.sample_shared_worlds` — pre-sampled
-  randomness, portable across backends.
+  :func:`~repro.kernels.worlds.sample_worlds` — pre-sampled randomness:
+  replica ``i``'s world is a pure function of ``(seed, i)``, identical
+  on every backend.
 * :class:`~repro.kernels.base.KernelBackend` /
   :class:`~repro.kernels.base.BatchOutcome` — the engine contract.
 * :class:`~repro.kernels.sigma.BatchedSigmaEvaluator` — kernel-backed
   σ(A) estimation for the greedy/CELF selectors.
 
-See ``docs/kernels.md`` for backend selection and the bit-identical vs
-statistically-equivalent guarantees.
+See ``docs/kernels.md`` for backend selection and the bit-identity
+guarantee.
 """
 
 from repro.kernels.base import BatchOutcome, KernelBackend
@@ -30,7 +31,7 @@ from repro.kernels.registry import (
 )
 from repro.kernels.sigma import BatchedSigmaEvaluator
 from repro.kernels.spec import KERNEL_KINDS, KernelSpec, spec_for_model
-from repro.kernels.worlds import WorldBatch, sample_shared_worlds
+from repro.kernels.worlds import WorldBatch, sample_worlds
 
 __all__ = [
     "BACKEND_AUTO",
@@ -43,6 +44,6 @@ __all__ = [
     "available_backends",
     "register_backend",
     "resolve_backend",
-    "sample_shared_worlds",
+    "sample_worlds",
     "spec_for_model",
 ]

@@ -10,8 +10,10 @@ per-hop cumulative activation series the simulation aggregate needs.
 validates inputs, times the run (``time.kernel``), and reports the obs
 counters (``kernel.worlds``, ``kernel.batches``, ``kernel.hops``,
 ``kernel.activations``, histogram ``kernel.batch_worlds``); concrete
-backends implement only :meth:`KernelBackend._run` (and may override
-:meth:`KernelBackend.sample_worlds` with a faster *native* sampler).
+backends implement only :meth:`KernelBackend._run`. Backends do not
+sample: every world comes from
+:func:`~repro.kernels.worlds.sample_worlds`, so all backends race the
+same worlds.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.diffusion.base import (
 )
 from repro.graph.compact import IndexedDiGraph
 from repro.kernels.spec import KernelSpec
-from repro.kernels.worlds import WorldBatch, sample_shared_worlds
+from repro.kernels.worlds import WorldBatch
 from repro.obs.registry import metrics
 from repro.utils.validation import check_positive
 
@@ -178,23 +180,6 @@ class KernelBackend(abc.ABC):
 
     #: registry key (``"python"``, ``"numpy"``).
     name: str = "abstract"
-
-    def sample_worlds(
-        self,
-        graph: IndexedDiGraph,
-        spec: KernelSpec,
-        batch: int,
-        max_hops: int = DEFAULT_MAX_HOPS,
-        seed: int = 0,
-    ) -> WorldBatch:
-        """Sample a world batch this backend can run.
-
-        The base implementation uses the backend-agnostic shared sampler
-        (:func:`~repro.kernels.worlds.sample_shared_worlds`), so batches
-        are portable across backends; fast backends may override this with
-        a native sampler that is only *statistically* equivalent.
-        """
-        return sample_shared_worlds(graph.csr(), spec, batch, max_hops, seed)
 
     def run_worlds(
         self,

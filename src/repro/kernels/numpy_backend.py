@@ -11,12 +11,14 @@ follows the work actually left in each world rather than ``B × N``. No
 per-world Python loop survives on the hot path, which is where the
 sigma-throughput win over the reference backend comes from.
 
-Bit-identical equivalence with the pure-Python backend on a shared
+Bit-identical equivalence with the pure-Python backend on the same
 :class:`~repro.kernels.worlds.WorldBatch` is maintained by matching its
 operation *order* wherever floats accumulate: LT in-weights are added
 with unbuffered ``np.add.at`` in (world, node, edge-position) order —
 exactly the reference backend's loop order — and OPOAO pick indices use
-the same ``floor(r * d_out)`` IEEE arithmetic.
+the same ``floor(r * d_out)`` IEEE arithmetic. Worlds come from
+:func:`repro.kernels.worlds.sample_worlds`, the one sampler both
+backends share, so the two engines race identical worlds.
 
 This module imports ``numpy`` at import time; it is only loaded through
 :mod:`repro.kernels.registry`, which converts an ``ImportError`` into
@@ -30,17 +32,12 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.diffusion.base import (
-    DEFAULT_MAX_HOPS,
-    INACTIVE,
-    CascadeSet,
-)
-from repro.errors import KernelError
-from repro.graph.compact import IndexedDiGraph
+from repro.diffusion.base import INACTIVE, CascadeSet
+from repro.graph.compact import CSRArrays, IndexedDiGraph
 from repro.kernels.base import BatchOutcome, KernelBackend
 from repro.kernels.spec import KernelSpec
 from repro.kernels.worlds import WorldBatch
-from repro.rng import derive_seed
+from repro.sketch.kernels import _unique
 
 __all__ = ["NumpyKernelBackend"]
 
@@ -60,7 +57,6 @@ class _GraphArrays:
     __slots__ = (
         "indptr",
         "indices",
-        "weights",
         "out_deg",
         "inv_indeg",
         "edge_tails",
@@ -73,7 +69,6 @@ class _GraphArrays:
         n = csr.node_count
         self.indptr = np.asarray(csr.indptr, dtype=np.int64)
         self.indices = np.asarray(csr.indices, dtype=np.int64)
-        self.weights = np.asarray(csr.weights, dtype=np.float64)
         self.out_deg = self.indptr[1:] - self.indptr[:-1]
         in_deg = np.bincount(self.indices, minlength=n) if n else np.zeros(0)
         self.inv_indeg = 1.0 / np.maximum(1, in_deg).astype(np.float64)
@@ -94,60 +89,23 @@ class NumpyKernelBackend(KernelBackend):
     name = "numpy"
 
     def __init__(self) -> None:
-        self._cache: Dict[int, Tuple[IndexedDiGraph, _GraphArrays]] = {}
+        self._cache: Dict[int, Tuple[CSRArrays, _GraphArrays]] = {}
 
     def _arrays(self, graph: IndexedDiGraph) -> _GraphArrays:
-        key = id(graph)
+        # Keyed by the graph's CSR export, not the graph: an in-place
+        # update (IndexedDiGraph.apply_updates) re-exports a fresh CSR
+        # object, so a mutated graph never hits stale arrays. The strong
+        # reference keeps the key's id from being reused while cached.
+        csr = graph.csr()
+        key = id(csr)
         hit = self._cache.get(key)
-        if hit is not None and hit[0] is graph:
+        if hit is not None and hit[0] is csr:
             return hit[1]
         arrays = _GraphArrays(graph)
         if len(self._cache) >= _CACHE_LIMIT:
             self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = (graph, arrays)
+        self._cache[key] = (csr, arrays)
         return arrays
-
-    # -- native (fast, statistically-equivalent) world sampling ----------------
-
-    def sample_worlds(
-        self,
-        graph: IndexedDiGraph,
-        spec: KernelSpec,
-        batch: int,
-        max_hops: int = DEFAULT_MAX_HOPS,
-        seed: int = 0,
-    ) -> WorldBatch:
-        """Sample worlds with NumPy's PCG64 instead of the shared sampler.
-
-        Same distribution as
-        :func:`~repro.kernels.worlds.sample_shared_worlds`, different
-        stream: results agree with the python backend statistically, not
-        bit-for-bit. Use the shared sampler when exact cross-backend
-        agreement matters (the differential tests do).
-        """
-        if spec.kind == "doam":
-            return WorldBatch("doam", batch, max_hops, {})
-        arrays = self._arrays(graph)
-        rng = np.random.default_rng(derive_seed(seed, "kernel-native", spec.kind))
-        n = graph.node_count
-        if spec.kind == "ic":
-            probabilities = self._edge_probabilities(arrays, spec)
-            live = rng.random((batch, arrays.indices.size)) < probabilities
-            return WorldBatch("ic", batch, max_hops, {"live": live})
-        if spec.kind == "lt":
-            thresholds = rng.random((batch, n))
-            return WorldBatch("lt", batch, max_hops, {"thresholds": thresholds})
-        picks = rng.random((batch, max_hops, n))
-        return WorldBatch("opoao", batch, max_hops, {"picks": picks})
-
-    @staticmethod
-    def _edge_probabilities(arrays: _GraphArrays, spec: KernelSpec):
-        if spec.probability is not None:
-            return spec.probability
-        weights = arrays.weights
-        if weights.size and (weights.min() < 0.0 or weights.max() > 1.0):
-            raise KernelError("weighted IC needs edge weights in [0, 1]")
-        return weights
 
     # -- the batched race -------------------------------------------------------
 
@@ -291,7 +249,7 @@ class NumpyKernelBackend(KernelBackend):
                 _feed(fronts[cascade], weights[cascade], arrays, states, n)
                 for cascade in order
             ]
-            touched = np.unique(np.concatenate(touched_keys))
+            touched = _unique(np, np.concatenate(touched_keys))
             if touched.size == 0:
                 break
             tw, tu = touched // n, touched % n
@@ -371,7 +329,7 @@ class NumpyKernelBackend(KernelBackend):
                 hit_keys = target_keys[hit]
                 act_states = flat_states[act_keys[hit]]
                 reached = [
-                    np.unique(hit_keys[act_states == cascade + 1])
+                    _unique(np, hit_keys[act_states == cascade + 1])
                     for cascade in range(len(counts))
                 ]
                 # Priority resolves conflicts: later cascades in the
@@ -468,7 +426,7 @@ def _reach_masked(front_keys, live, arrays, flat_states, n: int) -> np.ndarray:
     ok = flat_states[keys] == INACTIVE
     if live is not None:
         ok &= live[edge_w, edge_pos]
-    return np.unique(keys[ok])
+    return _unique(np, keys[ok])
 
 
 def _reach_flat(front_keys, flat, flat_states) -> np.ndarray:
@@ -486,7 +444,7 @@ def _reach_flat(front_keys, flat, flat_states) -> np.ndarray:
         cumulative - counts, counts
     )
     heads = head_keys[np.repeat(indptr[front_keys], counts) + offsets]
-    return np.unique(heads[flat_states[heads] == INACTIVE])
+    return _unique(np, heads[flat_states[heads] == INACTIVE])
 
 
 def _feed(front, weights, arrays, states, n: int) -> np.ndarray:

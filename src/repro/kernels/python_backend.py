@@ -47,21 +47,30 @@ class PythonKernelBackend(KernelBackend):
     ) -> BatchOutcome:
         runs: List[WorldRun] = []
         if spec.kind in ("ic", "doam"):
-            live = worlds.data.get("live")
+            live = None if spec.kind == "doam" else _rows(worlds, "live")
             for world in range(worlds.batch):
                 live_row = None if live is None else live[world]
                 runs.append(_race_world(graph, live_row, seeds, max_hops))
         elif spec.kind == "lt":
-            thresholds = worlds.data["thresholds"]
+            thresholds = _rows(worlds, "thresholds")
             for world in range(worlds.batch):
                 runs.append(
                     _lt_world(graph, thresholds[world], seeds, max_hops)
                 )
         else:  # opoao (spec validated upstream)
-            picks = worlds.data["picks"]
+            picks = _rows(worlds, "picks")
             for world in range(worlds.batch):
                 runs.append(_opoao_world(graph, picks[world], seeds, max_hops))
         return _assemble(spec.kind, graph.node_count, runs, seeds.cascade_count)
+
+
+def _rows(worlds: WorldBatch, key: str):
+    """The payload as nested lists; a NumPy payload is converted once and
+    cached in place (same values, no per-element NumPy scalar access)."""
+    data = worlds.data[key]
+    if hasattr(data, "tolist"):
+        data = worlds.data[key] = data.tolist()
+    return data
 
 
 def _assemble(

@@ -9,11 +9,15 @@ through one kernel call. Greedy/CELF then spend one vectorized sweep per
 candidate instead of ``runs`` Python simulations, which is where the
 sigma-throughput acceptance number comes from.
 
+The worlds come from :func:`~repro.kernels.worlds.sample_worlds` (the
+counter-keyed rule of :mod:`repro.rng`), so every backend races the
+same worlds and σ̂ does not depend on the backend.
+
 Given a multi-worker :class:`repro.exec.pool.ParallelExecutor`,
 :meth:`BatchedSigmaEvaluator.sigma_many` fans a whole candidate round
 out over its pool: every worker re-derives the *same* coupled world
-batch from the evaluator's seed (world sampling is a pure function of
-``(seed, spec, runs)``), races its candidate chunk against it, and the
+batch from the evaluator's seed (world ``i`` is a pure function of
+``(seed, spec, i)``), races its candidate chunk against it, and the
 per-candidate σ̂ values come back in submission order — bit-identical to
 calling :meth:`~BatchedSigmaEvaluator.sigma` in a loop.
 
@@ -36,12 +40,12 @@ from typing import (
 from repro.algorithms.base import SelectionContext
 from repro.diffusion.base import DEFAULT_MAX_HOPS, DiffusionModel, SeedSets
 from repro.diffusion.opoao import OPOAOModel
-from repro.errors import KernelError, SelectionError
+from repro.errors import SelectionError
 from repro.graph.digraph import Node
 from repro.kernels.base import BatchOutcome, KernelBackend
 from repro.kernels.registry import BACKEND_AUTO, resolve_backend
 from repro.kernels.spec import KernelSpec, spec_for_model
-from repro.kernels.worlds import WorldBatch, sample_shared_worlds
+from repro.kernels.worlds import WorldBatch, sample_worlds
 from repro.obs.registry import metrics
 from repro.rng import RngStream, derive_seed
 from repro.utils.validation import check_positive
@@ -50,17 +54,6 @@ if TYPE_CHECKING:
     from repro.exec.pool import ParallelExecutor
 
 __all__ = ["BatchedSigmaEvaluator"]
-
-
-def _sample_worlds(backend, graph, spec, runs, max_hops, seed, world_source):
-    """The evaluator's world batch — a pure function of its arguments.
-
-    Both the parent evaluator and every pool worker call this with the
-    same seed, so all processes replay identical coupled worlds.
-    """
-    if world_source == "shared":
-        return sample_shared_worlds(graph.csr(), spec, runs, max_hops, seed)
-    return backend.sample_worlds(graph, spec, runs, max_hops, seed)
 
 
 def _race_end_sets(
@@ -102,9 +95,8 @@ def _sigma_worker_setup(graph, payload):
     """
     backend = resolve_backend(payload["backend"])
     spec = KernelSpec(payload["kind"], payload["probability"])
-    worlds = _sample_worlds(
-        backend, graph, spec, payload["runs"], payload["max_hops"],
-        payload["seed"], payload["world_source"],
+    worlds = sample_worlds(
+        graph, spec, range(payload["runs"]), payload["max_hops"], payload["seed"]
     )
     state = {
         "backend": backend,
@@ -141,10 +133,8 @@ class BatchedSigmaEvaluator:
             deterministically from it, so two evaluators built from equal
             streams see identical worlds).
         backend: backend name (``"python"``/``"numpy"``/``"auto"``) or a
-            ready :class:`~repro.kernels.base.KernelBackend` instance.
-        world_source: ``"native"`` (the backend's fastest sampler) or
-            ``"shared"`` (the backend-agnostic sampler, bit-identical
-            across backends — what the differential tests use).
+            ready :class:`~repro.kernels.base.KernelBackend` instance;
+            every backend gives the same σ̂.
         executor: the :class:`~repro.exec.pool.ParallelExecutor` that
             :meth:`sigma_many` fans candidate rounds out over, warm
             across greedy/CELF rounds; parallel evaluation is
@@ -160,7 +150,6 @@ class BatchedSigmaEvaluator:
         max_hops: int = DEFAULT_MAX_HOPS,
         rng: Optional[RngStream] = None,
         backend: Union[str, KernelBackend, None] = BACKEND_AUTO,
-        world_source: str = "native",
         executor: Optional["ParallelExecutor"] = None,
     ) -> None:
         self.context = context
@@ -174,12 +163,6 @@ class BatchedSigmaEvaluator:
         self.runs = (
             int(check_positive(runs, "runs")) if self.spec.stochastic else 1
         )
-        if world_source not in ("native", "shared"):
-            raise KernelError(
-                f"world_source must be 'native' or 'shared', "
-                f"got {world_source!r}"
-            )
-        self.world_source = world_source
         self._executor = executor
         self.rng = rng or RngStream(name="sigma")
         self._rumor_ids = context.rumor_seed_ids()
@@ -192,14 +175,12 @@ class BatchedSigmaEvaluator:
     def worlds(self) -> WorldBatch:
         """The lazily-sampled coupled world batch (sampled exactly once)."""
         if self._worlds is None:
-            self._worlds = _sample_worlds(
-                self.backend,
+            self._worlds = sample_worlds(
                 self.context.indexed,
                 self.spec,
-                self.runs,
+                range(self.runs),
                 self.max_hops,
                 derive_seed(self.rng.seed, "sigma-worlds"),
-                self.world_source,
             )
         return self._worlds
 
@@ -258,7 +239,6 @@ class BatchedSigmaEvaluator:
             "runs": self.runs,
             "max_hops": self.max_hops,
             "seed": derive_seed(self.rng.seed, "sigma-worlds"),
-            "world_source": self.world_source,
             "rumor_ids": list(self._rumor_ids),
             "end_ids": list(self._end_ids),
         }

@@ -133,14 +133,13 @@ def evaluate_protectors(
         backend: optional kernel backend name for batched simulation
             (see :class:`~repro.diffusion.simulation.MonteCarloSimulator`).
         checkpoint: a path or :class:`~repro.exec.checkpoint.\
-            CheckpointStore` for the per-replica path's replica batches;
-            ignored with ``backend`` or a deterministic model.
+            CheckpointStore` for the replica batches (either engine);
+            ignored for a deterministic model.
         executor: a :class:`~repro.exec.pool.ParallelExecutor` for
             process-parallel replicas — e.g. the one the CLI already
             warmed during selection, so evaluation reuses its pool and
             graph publication. Results are bit-identical to the serial
-            path. Ignored with ``backend`` (the batched kernel already
-            races all replicas at once). ``None`` runs serially.
+            path, with or without ``backend``. ``None`` runs serially.
     """
     indexed = context.indexed
     protector_ids = resolve_seed_labels(indexed, protectors, "protector")

@@ -14,6 +14,16 @@ randomness:
 :class:`RngStream` wraps :class:`random.Random` and adds deterministic
 ``fork`` / ``replica`` derivation so a single experiment seed fans out into
 arbitrarily many independent, individually reproducible streams.
+
+The batched samplers need a fourth, **order-free draws**: the
+counter-keyed rule below makes every draw of a sampled world a pure
+function of (world key, cell) — :func:`pick` and :func:`uniform` hash
+the key with the cell through SplitMix64's finaliser (:func:`mix64`) —
+so a kernel can fill any block of cells at once, in any order and
+process. The functions take python ints one cell at a time or NumPy
+``uint64`` blocks and return the same bits either way; the RR-set
+samplers (:mod:`repro.sketch`) and the forward kernel worlds
+(:mod:`repro.kernels.worlds`) both draw through them.
 """
 
 from __future__ import annotations
@@ -22,7 +32,19 @@ import hashlib
 import random
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, TypeVar
 
-__all__ = ["EventOrder", "RngStream", "derive_seed", "DEFAULT_SEED"]
+__all__ = [
+    "EventOrder",
+    "RngStream",
+    "derive_seed",
+    "DEFAULT_SEED",
+    "PICK_RULE_VERSION",
+    "mix64",
+    "pick",
+    "step_cell",
+    "uniform",
+    "keyed_uniform",
+    "world_keys",
+]
 
 T = TypeVar("T")
 
@@ -51,6 +73,80 @@ def derive_seed(base_seed: int, *path: object) -> int:
         digest.update(b"/")
         digest.update(repr(part).encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
+
+
+#: Version of the counter-keyed draw rule (:func:`mix64`, :func:`pick`,
+#: :func:`uniform`, :func:`world_keys`). Checkpoint keys of runs whose
+#: worlds it draws carry it, so worlds drawn under another rule never
+#: resume.
+PICK_RULE_VERSION = 1
+
+_MASK64 = (1 << 64) - 1
+
+#: 2**-53: scales a 53-bit integer onto [0, 1) exactly in float64.
+_UNIT = 2.0**-53
+
+
+def mix64(value: Any) -> Any:
+    """SplitMix64's finaliser: a bijective mix of a 64-bit value.
+
+    Takes a python int or a NumPy ``uint64`` array; the mask is a no-op
+    on ``uint64``'s wrapping arithmetic, so both give the same bits.
+    """
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return value ^ (value >> 31)
+
+
+def step_cell(node: Any, step: Any) -> Any:
+    """The cell of ``node`` at ``step``: ``(node << 32) | step``."""
+    return (node << 32) | step
+
+
+def pick(key: Any, node: Any, step: Any, degree: Any) -> Any:
+    """The out-neighbor position ``node`` picks at ``step`` under ``key``.
+
+    ``h = mix64(key ^ mix64(step_cell(node, step)))`` and the pick is
+    ``((h >> 32) * degree) >> 32``: uniform over ``range(degree)`` up to
+    a bias below ``degree / 2**32``, and exact in 64-bit arithmetic for
+    node ids, steps and degrees below ``2**32``. Scalars and broadcast
+    ``uint64`` blocks (a python int ``key`` or ``step`` mixes with them)
+    give the same picks.
+    """
+    mixed = mix64(key ^ mix64(step_cell(node, step)))
+    return ((mixed >> 32) * degree) >> 32
+
+
+def keyed_uniform(key: Any, mixed_cell: Any) -> Any:
+    """:func:`uniform` of a cell whose :func:`mix64` is already known.
+
+    The inner mix depends on the cell alone, so a sampler drawing many
+    worlds over one graph computes it once and keys it per world.
+    """
+    return (mix64(key ^ mixed_cell) >> 11) * _UNIT
+
+
+def uniform(key: Any, cell: Any) -> Any:
+    """The uniform float in ``[0, 1)`` of ``cell`` in the world keyed ``key``.
+
+    ``(mix64(key ^ mix64(cell)) >> 11) * 2**-53``: the top 53 bits of
+    the mix, scaled exactly, so a python int and a NumPy ``uint64`` cell
+    give the same float64. Cells are any ints below ``2**64``; the
+    kernels use edge positions, node ids, and :func:`step_cell`.
+    """
+    return keyed_uniform(key, mix64(cell))
+
+
+def world_keys(base_seed: int, index: int) -> Tuple[int, int]:
+    """``(rumor_key, choices_key)`` of RR world ``index`` under ``base_seed``.
+
+    The rumor record's picks use the first, the protector choice
+    table's the second: :func:`derive_seed` of the replica seed
+    ``derive_seed(base_seed, "replica", index)`` with ``"rumor"`` and
+    ``"choices"``.
+    """
+    world_seed = derive_seed(base_seed, "replica", int(index))
+    return derive_seed(world_seed, "rumor"), derive_seed(world_seed, "choices")
 
 
 class RngStream:

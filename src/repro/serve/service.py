@@ -78,9 +78,6 @@ class RumorBlockingService:
             sorted seed ids, so answers are independent of query order.
         initial_worlds: sketch sample size before the first greedy pass.
         max_worlds: hard cap on adaptive doubling.
-        invalidation: world-staleness rule for updates — ``"footprint"``
-            (exact; refreshed state is bit-identical to from-scratch) or
-            ``"members"`` (cheaper, approximate).
         executor: a :class:`~repro.exec.pool.ParallelExecutor` every
             store's world sampling fans out over, so all instances share
             one warm pool. ``None`` runs serially.
@@ -98,18 +95,12 @@ class RumorBlockingService:
         seed: int = 13,
         initial_worlds: int = 64,
         max_worlds: int = 4096,
-        invalidation: str = "footprint",
         executor=None,
         backend: Optional[str] = None,
     ) -> None:
         if semantics not in SKETCH_SEMANTICS:
             raise ValidationError(
                 f"semantics must be one of {SKETCH_SEMANTICS}, got {semantics!r}"
-            )
-        if invalidation not in SketchStore.INVALIDATION_RULES:
-            raise ValidationError(
-                f"invalidation must be one of {SketchStore.INVALIDATION_RULES}, "
-                f"got {invalidation!r}"
             )
         self.graph = graph
         self.community: FrozenSet[int] = frozenset(
@@ -121,7 +112,6 @@ class RumorBlockingService:
         self.steps = int(check_positive(steps, "steps"))
         self.initial_worlds = int(check_positive(initial_worlds, "initial_worlds"))
         self.max_worlds = int(check_positive(max_worlds, "max_worlds"))
-        self.invalidation = invalidation
         self.backend = backend
         self._executor = executor
         self._rng = RngStream(seed, name="serve")
@@ -195,9 +185,7 @@ class RumorBlockingService:
             instance.end_ids = rebuilt.end_ids
             instance.store = rebuilt.store
         else:
-            _, invalidated = instance.store.refresh(
-                instance.pending, self.invalidation
-            )
+            _, invalidated = instance.store.refresh(instance.pending)
         instance.pending.clear()
         registry = metrics()
         if registry.enabled and invalidated:
@@ -331,7 +319,6 @@ class RumorBlockingService:
             },
             "community_size": len(self.community),
             "semantics": self.semantics,
-            "invalidation": self.invalidation,
             "instances": [
                 {
                     "seeds": list(instance.seed_ids),

@@ -23,7 +23,7 @@ enforces the contract property-style.
 How the numpy backend reproduces the python draws exactly:
 
 * **One counter-keyed rule.** Every pick is
-  :func:`repro.sketch.rrset.pick` of (world key, node, step), which the
+  :func:`repro.rng.pick` of (world key, node, step), which the
   python sampler evaluates per cell and this kernel evaluates on
   broadcast ``uint64`` blocks — the same function, so the same bits.
 * **Rumor cascade.** ``record_cascade`` becomes one vectorized frontier
@@ -53,13 +53,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import BackendUnavailableError, KernelError
-from repro.sketch.rrset import (
-    DOAMRRSampler,
-    OPOAORRSampler,
-    WorldSample,
-    pick,
-    world_keys,
-)
+from repro.rng import pick, world_keys
+from repro.sketch.rrset import DOAMRRSampler, OPOAORRSampler, WorldSample
 
 __all__ = [
     "SKETCH_BACKEND_AUTO",

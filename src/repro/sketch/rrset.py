@@ -57,13 +57,13 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.diffusion.base import DEFAULT_MAX_HOPS
 from repro.diffusion.timestamps import record_cascade
 from repro.errors import SeedError, ValidationError
 from repro.graph.compact import IndexedDiGraph
-from repro.rng import RngStream, derive_seed
+from repro.rng import RngStream, pick, world_keys
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -73,58 +73,10 @@ __all__ = [
     "sampler_for",
     "rebuild_sampler",
     "SKETCH_SEMANTICS",
-    "PICK_RULE_VERSION",
-    "pick",
-    "world_keys",
 ]
 
 #: semantics names accepted by :func:`sampler_for` (and the CLI).
 SKETCH_SEMANTICS = ("opoao", "doam")
-
-#: Version of the draw rule below (:func:`world_keys` and :func:`pick`).
-#: Sketch checkpoint keys carry it, so worlds drawn under another rule
-#: never resume into a store.
-PICK_RULE_VERSION = 1
-
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64(value: Any) -> Any:
-    """SplitMix64's finaliser: a bijective mix of a 64-bit value.
-
-    Takes a python int or a NumPy ``uint64`` array; the mask is a no-op
-    on ``uint64``'s wrapping arithmetic, so both give the same bits.
-    """
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return value ^ (value >> 31)
-
-
-def pick(key: Any, node: Any, step: Any, degree: Any) -> Any:
-    """The out-neighbor position ``node`` picks at ``step`` under ``key``.
-
-    With ``mix64`` SplitMix64's finaliser, ``h = mix64(key ^
-    mix64((node << 32) | step))`` and the pick is ``((h >> 32) * degree)
-    >> 32``: uniform over ``range(degree)`` up to a bias below
-    ``degree / 2**32``, and exact in 64-bit arithmetic for node ids,
-    steps and degrees below ``2**32``. The python sampler
-    calls it one cell at a time with ints; the numpy kernel calls it on
-    whole blocks with broadcast ``uint64`` arrays (a python int ``key``
-    or ``step`` mixes with them), and both get the same picks.
-    """
-    mixed = _mix64(key ^ _mix64((node << 32) | step))
-    return ((mixed >> 32) * degree) >> 32
-
-
-def world_keys(base_seed: int, index: int) -> Tuple[int, int]:
-    """``(rumor_key, choices_key)`` of world ``index`` under ``base_seed``.
-
-    The rumor record's picks use the first, the protector choice
-    table's the second: :func:`repro.rng.derive_seed` of the replica
-    seed with ``"rumor"`` and ``"choices"``.
-    """
-    world_seed = derive_seed(base_seed, "replica", int(index))
-    return derive_seed(world_seed, "rumor"), derive_seed(world_seed, "choices")
 
 
 class WorldSample:

@@ -62,6 +62,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.obs.registry import metrics
+from repro.sketch.kernels import _unique
 from repro.utils.validation import check_fraction, check_positive
 
 __all__ = ["PostingsIndex", "SketchStore"]
@@ -132,9 +133,6 @@ class SketchStore:
         "_world_np",
         "_footprints",
     )
-
-    #: accepted ``rule=`` values of :meth:`stale_worlds` / :meth:`refresh`.
-    INVALIDATION_RULES = ("footprint", "members")
 
     def __init__(
         self,
@@ -214,53 +212,33 @@ class SketchStore:
 
     # -- incremental invalidation ------------------------------------------------
 
-    def stale_worlds(
-        self, touched: Iterable[int], rule: str = "footprint"
-    ) -> List[int]:
+    def stale_worlds(self, touched: Iterable[int]) -> List[int]:
         """World indices an edge-update batch could have changed.
 
-        Args:
-            touched: endpoint ids of the mutated edges (what
-                :meth:`~repro.graph.compact.IndexedDiGraph.apply_updates`
-                returns).
-            rule: ``"footprint"`` (default, exact) marks a world stale
-                when its dependency footprint intersects ``touched`` —
-                refreshing under this rule reproduces a from-scratch
-                store bit for bit. ``"members"`` only consults the
-                inverted member index; it is cheaper but *approximate*
-                (a mutated row can change a world without any touched
-                node being an RR-set member), so refreshed estimates
-                agree only statistically.
+        A world is stale when its dependency footprint intersects
+        ``touched`` (the endpoint ids of the mutated edges, what
+        :meth:`~repro.graph.compact.IndexedDiGraph.apply_updates`
+        returns) or when its footprint is unknown; refreshing exactly
+        these reproduces a from-scratch store bit for bit.
         """
-        if rule not in self.INVALIDATION_RULES:
-            raise ValidationError(
-                f"rule must be one of {self.INVALIDATION_RULES}, got {rule!r}"
-            )
         touched_set = frozenset(touched)
         if not touched_set or self.worlds == 0:
             return []
-        stale = set()
-        if rule == "members":
-            for node in touched_set:
-                for set_id in self.sets_containing(node):
-                    stale.add(int(self._world_of[set_id]))
-        else:
-            for world, footprint in enumerate(self._footprints):
-                if footprint is None or footprint & touched_set:
-                    stale.add(world)
-        return sorted(stale)
+        return [
+            world
+            for world, footprint in enumerate(self._footprints)
+            if footprint is None or footprint & touched_set
+        ]
 
-    def refresh(
-        self, touched: Iterable[int], rule: str = "footprint"
-    ) -> Tuple[int, int]:
+    def refresh(self, touched: Iterable[int]) -> Tuple[int, int]:
         """Resample the worlds invalidated by an edge-update batch.
 
         Worlds are pure functions of their replica index, so resampling
-        exactly the stale indices on the (mutated) sampler graph and
-        re-appending every fresh world unchanged rebuilds the arrays to
-        what a from-scratch store on the mutated graph would hold (the
-        ``"footprint"`` rule makes that equality bit-exact). Resampling
-        fans out over the configured pool like any growth round.
+        exactly the stale indices (:meth:`stale_worlds`) on the mutated
+        sampler graph and re-appending every fresh world unchanged
+        rebuilds the arrays to what a from-scratch store on the mutated
+        graph would hold, bit for bit. Resampling fans out over the
+        configured pool like any growth round.
 
         Only freshly resampled worlds count toward the ``sketch.*``
         sampling metrics.
@@ -270,7 +248,7 @@ class SketchStore:
             of worlds resampled and the number of previously stored RR
             sets they held (what ``serve.rrsets.invalidated`` reports).
         """
-        stale = self.stale_worlds(touched, rule)
+        stale = self.stale_worlds(touched)
         forget = getattr(self.sampler, "forget", None)
         if forget is not None:
             forget()  # a cached deterministic world is stale wholesale
@@ -536,7 +514,7 @@ class SketchStore:
         ]
         if not slices:
             return postings[:0]
-        return np_mod.unique(np_mod.concatenate(slices))
+        return _unique(np_mod, np_mod.concatenate(slices))
 
     def coverage_count(self, node_ids: Iterable[int]) -> int:
         """Number of distinct RR sets intersecting ``node_ids``."""

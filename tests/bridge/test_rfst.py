@@ -1,10 +1,13 @@
 """Unit tests for RFSTs and bridge-end detection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bridge.rfst import build_rfsts, find_bridge_ends
+from repro.bridge.rfst import build_rfsts, find_bridge_end_ids, find_bridge_ends
 from repro.errors import NodeNotFoundError, SeedError
 from repro.graph.digraph import DiGraph
+from repro.graph.traversal import multi_source_distances
 
 
 class TestFindBridgeEnds:
@@ -95,3 +98,36 @@ class TestBuildRfsts:
         graph, communities, info = toy
         trees = build_rfsts(graph, communities.members(0), ["r", "r"])
         assert len(trees) == 1
+
+
+@st.composite
+def instances(draw):
+    """A random digraph, a community, and rumor seeds inside it."""
+    nodes = draw(st.integers(min_value=2, max_value=12))
+    pairs = st.tuples(
+        st.integers(0, nodes - 1), st.integers(0, nodes - 1)
+    ).filter(lambda pair: pair[0] != pair[1])
+    graph = DiGraph()
+    graph.add_nodes(range(nodes))
+    graph.add_edges(draw(st.lists(pairs, max_size=nodes * 3)))
+    community = draw(st.sets(st.integers(0, nodes - 1), min_size=1))
+    seeds = draw(st.sets(st.sampled_from(sorted(community)), min_size=1))
+    return graph, community, seeds
+
+
+class TestBridgeEndDefinition:
+    @settings(max_examples=150, deadline=None)
+    @given(instances())
+    def test_both_finders_equal_the_definition(self, instance):
+        """Reached from the seeds, outside C, with an in-neighbor in C."""
+        graph, community, seeds = instance
+        reached = multi_source_distances(graph, seeds)
+        definition = frozenset(
+            node
+            for node in reached
+            if node not in community
+            and any(tail in community for tail in graph.predecessors(node))
+        )
+        assert find_bridge_ends(graph, community, seeds) == definition
+        indexed = graph.to_indexed()  # labels are ids 0..n-1
+        assert find_bridge_end_ids(indexed, community, seeds) == definition

@@ -4,6 +4,8 @@ import pytest
 
 from repro.diffusion.base import INFECTED, PROTECTED, SeedSets
 from repro.diffusion.doam import DOAMModel
+from repro.diffusion.ic import CompetitiveICModel
+from repro.diffusion.lt import CompetitiveLTModel
 from repro.diffusion.opoao import OPOAOModel
 from repro.diffusion.simulation import (
     MonteCarloSimulator,
@@ -13,6 +15,8 @@ from repro.diffusion.simulation import (
 )
 from repro.exec.pool import ParallelExecutor
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import erdos_renyi
+from repro.kernels.registry import available_backends
 from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
 from repro.utils.stats import RunningStats
@@ -68,6 +72,34 @@ class TestEquivalenceWithSerial:
         simulator = MonteCarloSimulator(OPOAOModel(), runs=3)
         with pytest.raises(ValueError):
             simulator.simulate(star.to_indexed(), SeedSets(rumors=[0]))
+
+
+class TestKernelEngine:
+    """``backend=`` runs on the same replica loop: backend-, pool- and
+    chunking-independent records."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [CompetitiveICModel(probability=0.3), CompetitiveLTModel(), OPOAOModel()],
+        ids=lambda model: model.name,
+    )
+    def test_records_equal_on_every_backend_and_the_pool(self, two_workers, model):
+        graph = erdos_renyi(40, 0.1, RngStream(4)).to_indexed()
+
+        def records(backend, executor=None):
+            return MonteCarloSimulator(
+                model, runs=12, max_hops=8, backend=backend, executor=executor
+            ).simulate(
+                graph, SeedSets(rumors=[0, 1], protectors=[2]),
+                rng=RngStream(5), end_ids=range(10, 20),
+            ).records
+
+        serial = records("python")
+        assert len(serial) == 12
+        assert records("python", two_workers) == serial
+        if "numpy" in available_backends():
+            assert records("numpy") == serial
+            assert records("numpy", two_workers) == serial
 
 
 class TestSimulateDetailed:

@@ -15,8 +15,11 @@ import pytest
 from repro.algorithms.celf import CELFGreedySelector
 from repro.algorithms.greedy import GreedySelector
 from repro.algorithms.ris_greedy import RISGreedySelector
+from repro.diffusion import simulation
 from repro.diffusion.base import CascadeSet, SeedSets
 from repro.diffusion.doam import DOAMModel
+from repro.diffusion.ic import CompetitiveICModel
+from repro.diffusion.lt import CompetitiveLTModel
 from repro.diffusion.opoao import OPOAOModel
 from repro.diffusion.simulation import MonteCarloSimulator
 from repro.errors import CheckpointError
@@ -28,6 +31,8 @@ from repro.exec.checkpoint import (
     run_key,
     run_replicas,
 )
+from repro.graph.generators import erdos_renyi
+from repro.kernels.registry import available_backends
 from repro.obs import MetricsRegistry, use_registry
 from repro.rng import RngStream
 
@@ -438,6 +443,68 @@ class TestMonteCarloCascadeKeys:
             resumed_aggregate.infected_per_hop
             == full_aggregate.infected_per_hop
         )
+
+
+KERNEL_MODELS = [CompetitiveICModel(probability=0.3), CompetitiveLTModel(), OPOAOModel()]
+
+
+@pytest.mark.usefixtures("small_batches")
+class TestKernelMonteCarloResume:
+    """The kernel engine on the shared replica loop: checkpointed like
+    the per-replica engine, under a key that names the draw rule."""
+
+    @pytest.fixture
+    def graph(self):
+        return erdos_renyi(30, 0.15, RngStream(8)).to_indexed()
+
+    def run(self, graph, model, backend="python", checkpoint=None):
+        return MonteCarloSimulator(
+            model, runs=10, max_hops=6, backend=backend, checkpoint=checkpoint
+        ).simulate(
+            graph, SeedSets(rumors=[0, 1], protectors=[2]),
+            rng=RngStream(11), end_ids=range(10, 20),
+        ).records
+
+    @pytest.mark.parametrize("model", KERNEL_MODELS, ids=lambda m: m.name)
+    def test_failed_run_resumes_to_uninterrupted_records(
+        self, graph, model, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "run.ckpt"
+        uninterrupted = self.run(graph, model)
+        batches = []
+        kernel_chunk = simulation._kernel_chunk
+
+        def fails_after_one_batch(state, indices):
+            batches.append(list(indices))
+            if len(batches) == 2:
+                raise RuntimeError("worker lost")
+            return kernel_chunk(state, indices)
+
+        monkeypatch.setattr(simulation, "_kernel_chunk", fails_after_one_batch)
+        with pytest.raises(RuntimeError):
+            self.run(graph, model, checkpoint=path)
+        assert batches == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        monkeypatch.setattr(simulation, "_kernel_chunk", kernel_chunk)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            resumed = self.run(graph, model, checkpoint=path)
+        assert resumed == uninterrupted
+        assert registry.counter_values()["exec.resumed_rounds"] == 4
+
+    def test_entry_written_on_python_resumes_on_numpy(self, graph, tmp_path):
+        if "numpy" not in available_backends():
+            pytest.skip("numpy backend unavailable")
+        path = tmp_path / "run.ckpt"
+        uninterrupted = self.run(graph, OPOAOModel(), backend="numpy")
+        self.run(graph, OPOAOModel(), backend="python", checkpoint=path)
+        resumed = self.run(graph, OPOAOModel(), backend="numpy", checkpoint=path)
+        assert resumed == uninterrupted
+
+    def test_per_replica_entry_never_seeds_a_kernel_run(self, graph, tmp_path):
+        path = tmp_path / "run.ckpt"
+        self.run(graph, OPOAOModel(), backend=None, checkpoint=path)
+        with pytest.raises(CheckpointError):
+            self.run(graph, OPOAOModel(), checkpoint=path)
 
 
 class TestCLICheckpointFlags:

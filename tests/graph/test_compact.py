@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NodeNotFoundError
-from repro.graph.compact import IndexedDiGraph
+from repro.graph.compact import CSRArrays, IndexedDiGraph
 from repro.graph.digraph import DiGraph
 
 
@@ -96,3 +96,34 @@ class TestCSRMemoization:
         assert rebuilt.csr().indptr == csr.indptr
         assert rebuilt.csr().indices == csr.indices
         assert rebuilt.csr().weights == csr.weights
+
+    def test_export_equals_the_element_wise_construction(self):
+        """The tuples built straight from the rows equal the re-boxed
+        ``CSRArrays`` of concatenated rows, value and type, also after an
+        in-place update (int weights included)."""
+        graph = DiGraph()
+        graph.add_nodes(range(6))
+        for tail, head, weight in [
+            (0, 1, 2), (0, 3, 0.5), (1, 2, 1.0), (3, 4, 3), (4, 5, 0.25),
+        ]:
+            graph.add_edge(tail, head, weight)
+        indexed = graph.to_indexed()
+
+        def assert_export_matches():
+            indptr, indices, weights = [0], [], []
+            for row, row_weights in zip(indexed.out, indexed.out_weights):
+                indices.extend(row)
+                weights.extend(row_weights)
+                indptr.append(len(indices))
+            expected = CSRArrays(indptr, indices, weights)
+            csr = indexed.csr()
+            for name in ("indptr", "indices", "weights"):
+                got, want = getattr(csr, name), getattr(expected, name)
+                assert type(got) is tuple and got == want
+                assert [type(value) for value in got] == [
+                    type(value) for value in want
+                ]
+
+        assert_export_matches()
+        indexed.apply_updates([(5, 0, 4), (2, 3)], [(0, 1)])
+        assert_export_matches()

@@ -28,7 +28,7 @@ from repro.diffusion.base import INACTIVE, INFECTED, PROTECTED, SeedSets
 from repro.graph.digraph import DiGraph
 from repro.kernels.registry import available_backends, resolve_backend
 from repro.kernels.spec import KernelSpec
-from repro.kernels.worlds import WorldBatch
+from repro.kernels.worlds import WorldBatch, sample_worlds
 
 BACKENDS = available_backends()
 
@@ -316,23 +316,53 @@ class TestExactOracle:
         ]
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_sampled_ic_converges_to_exact_sigma(backend_name):
-    """Native sampling converges to the enumerated expectation (CI bound)."""
+#: The sampled convergence cases: IC keeps its original ids (one per
+#: backend); LT and OPOAO add ``<kind>-<backend>`` cases.
+SAMPLED_CASES = [
+    pytest.param(kind, name, id=name if kind == "ic" else f"{kind}-{name}")
+    for kind in ("ic", "lt", "opoao")
+    for name in BACKENDS
+]
+
+
+def exact_means(kind, graph, seeds):
+    """``(spec, hops, states per enumerated world)`` of one sampled case."""
+    if kind == "ic":
+        _, _, live_lists = enumerate_ic_worlds(graph)
+        states = [oracle_race(graph, seeds, live, MAX_HOPS) for live in live_lists]
+        return KernelSpec("ic", probability=0.5), MAX_HOPS, states
+    if kind == "lt":
+        _, worlds = enumerate_lt_worlds(graph)
+        states = [oracle_lt(graph, seeds, world, MAX_HOPS) for world in worlds]
+        return KernelSpec("lt"), MAX_HOPS, states
+    hops = 3  # the pick enumeration's horizon
+    _, tables = enumerate_opoao_worlds(graph, hops)
+    states = [oracle_opoao(graph, seeds, table, hops) for table in tables]
+    return KernelSpec("opoao"), hops, states
+
+
+@pytest.mark.parametrize("kind, backend_name", SAMPLED_CASES)
+def test_sampled_ic_converges_to_exact_sigma(kind, backend_name):
+    """Sampled worlds converge to the enumerated expectation (CI bound).
+
+    Both final counts are checked: on this graph LT's infected count is
+    the same in every world, its protected count is not.
+    """
     graph = tiny_graph()
     seeds = SEED_CONFIGS[0]
-    _, _, live_lists = enumerate_ic_worlds(graph)
-    exact = mean_infected(
-        [oracle_race(graph, seeds, live, MAX_HOPS) for live in live_lists]
-    )
+    spec, hops, states = exact_means(kind, graph, seeds)
+    exact_infected = mean_infected(states)
+    exact_protected = sum(
+        sum(1 for value in world.values() if value == PROTECTED)
+        for world in states
+    ) / len(states)
     indexed = graph.to_indexed()
     backend = resolve_backend(backend_name)
-    spec = KernelSpec("ic", probability=0.5)
     runs = 4000
-    worlds = backend.sample_worlds(indexed, spec, runs, MAX_HOPS, seed=11)
-    outcome = backend.run_worlds(indexed, spec, worlds, seeds, MAX_HOPS)
-    estimate = (
-        sum(outcome.final_infected(world) for world in range(runs)) / runs
-    )
-    # infected counts live in [1, 6]: sd <= 2.5, 4-sigma half-width.
-    assert abs(estimate - exact) <= 4 * 2.5 / runs**0.5
+    worlds = sample_worlds(indexed, spec, range(runs), hops, seed=11)
+    outcome = backend.run_worlds(indexed, spec, worlds, seeds, hops)
+    infected = sum(outcome.final_infected(w) for w in range(runs)) / runs
+    protected = sum(outcome.final_protected(w) for w in range(runs)) / runs
+    # both counts live in [1, 6]: sd <= 2.5, 4-sigma half-width.
+    assert abs(infected - exact_infected) <= 4 * 2.5 / runs**0.5
+    assert abs(protected - exact_protected) <= 4 * 2.5 / runs**0.5

@@ -24,7 +24,7 @@ from repro.diffusion.base import INACTIVE, PRIORITY_RULES, CascadeSet
 from repro.graph.digraph import DiGraph
 from repro.kernels.registry import available_backends, resolve_backend
 from repro.kernels.spec import KernelSpec
-from repro.kernels.worlds import WorldBatch, sample_shared_worlds
+from repro.kernels.worlds import WorldBatch, sample_worlds
 from repro.lcrb.multicascade import exact_cascade_expectation, exact_race
 
 BACKENDS = available_backends()
@@ -177,10 +177,10 @@ class TestScenarioOracleAgrees:
     ids=lambda spec: spec.kind,
 )
 def test_backends_agree_on_sampled_k3_worlds(rule, spec):
-    """Python and numpy kernels race K=3 identically on shared worlds."""
+    """Python and numpy kernels race K=3 identically on sampled worlds."""
     indexed = tiny_graph().to_indexed()
     seeds = CascadeSet([[0], [2], [1]], priority=rule)
-    worlds = sample_shared_worlds(indexed.csr(), spec, 64, MAX_HOPS, seed=17)
+    worlds = sample_worlds(indexed, spec, range(64), MAX_HOPS, seed=17)
     baseline = resolve_backend(BACKENDS[0]).run_worlds(
         indexed, spec, worlds, seeds, MAX_HOPS
     )

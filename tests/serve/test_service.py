@@ -219,12 +219,10 @@ class TestValidation:
         assert result["blockers"] == []
         assert result["sigma"] == 0.0
 
-    def test_rejects_bad_semantics_and_invalidation(self):
+    def test_rejects_bad_semantics(self):
         graph, community = build_network()
         with pytest.raises(ValidationError):
             RumorBlockingService(graph, community, semantics="viral")
-        with pytest.raises(ValidationError):
-            RumorBlockingService(graph, community, invalidation="psychic")
 
     def test_rejects_empty_community(self):
         graph, _ = build_network()

@@ -2,24 +2,21 @@
 
 Property harness for the dynamic-graph path. The contract under test:
 
-* **Bit-identity** (footprint rule): after any edge-mutation sequence,
+* **Bit-identity**: after any edge-mutation sequence,
   ``store.refresh(touched)`` leaves the store's flat arrays identical
   to a store sampled from scratch on the mutated graph with the same
-  base seed — worlds are pure functions of their replica index, and the
-  footprint rule resamples exactly the worlds whose inputs changed.
+  base seed — worlds are pure functions of their replica index, and
+  refresh resamples exactly the worlds whose footprint an update touched.
 * **Statistical agreement** (different seeds): a refreshed store and an
   independently-seeded from-scratch store estimate the same σ̂ within
   the usual Monte-Carlo tolerance.
-* The ``"members"`` rule is approximate but self-consistent.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ValidationError
 from repro.graph.compact import IndexedDiGraph
 from repro.graph.generators import erdos_renyi
 from repro.rng import RngStream
@@ -158,51 +155,6 @@ class TestStatisticalAgreement:
         mean_a, half_a = store.sigma_interval(probe, delta=0.05)
         mean_b, half_b = other.sigma_interval(probe, delta=0.05)
         assert abs(mean_a - mean_b) <= half_a + half_b + 1e-9
-
-
-class TestInvalidationRules:
-    def test_rejects_unknown_rule(self):
-        store = opoao_store(build_graph())
-        with pytest.raises(ValidationError):
-            store.stale_worlds([0], rule="psychic")
-
-    def test_members_rule_subset_of_footprint_rule(self):
-        """Member-based staleness can only miss worlds, never add them:
-        every RR member is in the footprint by construction."""
-        graph = build_graph()
-        store = opoao_store(graph)
-        touched = {3, 17, 29}
-        members_stale = set(store.stale_worlds(touched, rule="members"))
-        footprint_stale = set(store.stale_worlds(touched, rule="footprint"))
-        assert members_stale <= footprint_stale
-
-    def test_members_rule_refresh_is_consistent(self):
-        """The approximate rule still yields a well-formed store whose
-        untouched worlds are bit-identical to before."""
-        graph = build_graph()
-        store = opoao_store(graph)
-        before = {
-            world: [
-                (store._roots[s], store.members(s))
-                for s in range(len(store._roots))
-                if store._world_of[s] == world
-            ]
-            for world in range(store.worlds)
-        }
-        tail = next(t for t in range(NODES) if graph.out[t])
-        touched = graph.apply_updates([], [(tail, graph.out[tail][0])])
-        stale = set(store.stale_worlds(touched, rule="members"))
-        store.refresh(touched, rule="members")
-        assert store.worlds == len(before)
-        for world in range(store.worlds):
-            if world in stale:
-                continue
-            after = [
-                (store._roots[s], store.members(s))
-                for s in range(len(store._roots))
-                if store._world_of[s] == world
-            ]
-            assert after == before[world]
 
 
 class TestFootprintPersistence:

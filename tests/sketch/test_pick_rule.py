@@ -1,6 +1,6 @@
 """The counter-keyed pick rule every OPOAO RR-world draw goes through.
 
-:func:`repro.sketch.rrset.pick` is evaluated one cell at a time by the
+:func:`repro.rng.pick` is evaluated one cell at a time by the
 python sampler and on whole ``uint64`` blocks by the numpy kernel, so
 the unit tests pin it three ways: scalar == block on random and edge
 inputs, golden values, and a chi-square check of uniformity. The
@@ -18,9 +18,9 @@ import pytest
 
 from repro.graph.compact import IndexedDiGraph
 from repro.graph.generators import erdos_renyi
-from repro.rng import RngStream
+from repro.rng import RngStream, pick
 from repro.sketch.kernels import sample_worlds
-from repro.sketch.rrset import OPOAORRSampler, pick
+from repro.sketch.rrset import OPOAORRSampler
 from tests.sketch import rrset_reference
 
 try:
