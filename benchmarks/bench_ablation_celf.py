@@ -16,9 +16,9 @@ from repro.algorithms.celf import CELFGreedySelector
 from repro.algorithms.greedy import GreedySelector
 from repro.datasets.registry import load_dataset
 from repro.lcrb.pipeline import draw_rumor_seeds
+from repro.obs.timers import Timer
 from repro.rng import RngStream
 from repro.utils.tables import format_table
-from repro.utils.timer import Timer
 
 
 def _instance():

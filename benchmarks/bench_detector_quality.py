@@ -13,9 +13,9 @@ from repro.community.label_prop import label_propagation
 from repro.community.louvain import louvain
 from repro.community.metrics import normalized_mutual_information, purity
 from repro.graph.generators import planted_partition
+from repro.obs.timers import Timer
 from repro.rng import RngStream
 from repro.utils.tables import format_table
-from repro.utils.timer import Timer
 
 
 def test_detector_quality(benchmark, report_result):

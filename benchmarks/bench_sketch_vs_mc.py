@@ -22,9 +22,9 @@ from repro.algorithms.ris_greedy import RISGreedySelector
 from repro.datasets.registry import load_dataset
 from repro.diffusion.doam import DOAMModel
 from repro.lcrb.pipeline import draw_rumor_seeds
+from repro.obs.timers import Timer
 from repro.rng import RngStream
 from repro.utils.tables import format_table
-from repro.utils.timer import Timer
 
 BUDGET = 3 if FAST else 5
 POOL_CAP = 60 if FAST else 150

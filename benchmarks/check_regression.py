@@ -6,7 +6,8 @@ CI runs the perf benchmarks under ``REPRO_BENCH_FAST=1``; each emits a
 documents' **work counters** — RR sets sampled, sigma evaluations, BFS
 node/edge visits, and friends — against the checked-in baselines in
 ``benchmarks/baselines/`` and fails when any counter grew by more than
-the tolerance (default 10%).
+the tolerance (default 10%), or when a result emits a counter its
+baseline does not record.
 
 Counters, not wall clock: every counter is a deterministic function of
 the seeded RNG streams (:mod:`repro.rng` derives substreams via
@@ -58,8 +59,9 @@ def compare_documents(
     """Compare one result against its baseline.
 
     Returns ``(failures, notes)``: failures are gate-breaking strings
-    (config mismatch, missing counter, growth beyond ``tolerance``);
-    notes are informational (counters that shrank or were added).
+    (config mismatch, missing counter, growth beyond ``tolerance``, a
+    counter the baseline does not record); notes are informational
+    (counters that shrank).
     """
     failures: List[str] = []
     notes: List[str] = []
@@ -97,9 +99,9 @@ def compare_documents(
                 f"counter {name!r} improved: {base_value} -> {current}"
             )
     for name in sorted(set(new_counters) - set(base_counters)):
-        notes.append(
+        failures.append(
             f"new counter {name!r}={new_counters[name]} has no baseline "
-            f"(run with --update to record it)"
+            f"(record it in the baseline, or run with --update)"
         )
     return failures, notes
 

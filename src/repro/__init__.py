@@ -51,16 +51,9 @@ from repro.diffusion import (
 )
 from repro.errors import ReproError
 from repro.graph import DiGraph, IndexedDiGraph
-from repro.lcrb import (
-    LCRBDProblem,
-    LCRBPProblem,
-    LCRBProblem,
-    build_context,
-    draw_rumor_seeds,
-    evaluate_protectors,
-)
+from repro.lcrb import build_context, draw_rumor_seeds, evaluate_protectors
 from repro.rng import RngStream
-from repro.sketch import SketchSigmaEstimator, SketchStore
+from repro.sketch import SketchStore
 
 __version__ = "1.0.0"
 
@@ -97,16 +90,12 @@ __all__ = [
     "greedy_set_cover",
     # sketch
     "SketchStore",
-    "SketchSigmaEstimator",
     "MaxDegreeSelector",
     "ProximitySelector",
     "RandomSelector",
     "PageRankSelector",
     "estimate_sources",
     # lcrb
-    "LCRBProblem",
-    "LCRBPProblem",
-    "LCRBDProblem",
     "build_context",
     "draw_rumor_seeds",
     "evaluate_protectors",

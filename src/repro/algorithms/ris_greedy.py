@@ -36,7 +36,7 @@ from repro.diffusion.base import DEFAULT_MAX_HOPS
 from repro.graph.digraph import Node
 from repro.obs.registry import metrics
 from repro.rng import RngStream
-from repro.sketch.coverage import max_coverage, protected_fraction
+from repro.sketch.coverage import max_coverage
 from repro.sketch.rrset import sampler_for
 from repro.sketch.store import SketchStore
 from repro.utils.validation import check_fraction, check_positive
@@ -234,10 +234,6 @@ BatchedSigmaEvaluator`) and records the achieved protected fraction in
         registry = metrics()
         if registry.enabled:
             registry.set_gauge("ris.kernel_protected_fraction", fraction)
-
-    def _protected_fraction(self, store: SketchStore, covered_total: int,
-                            end_count: int) -> float:
-        return protected_fraction(store, covered_total, end_count)
 
     def _max_coverage(
         self,

@@ -743,7 +743,7 @@ def _bench_sigma(args, context, model, rng: RngStream) -> int:
     """
     from repro.algorithms.greedy import candidate_pool
     from repro.kernels import BatchedSigmaEvaluator
-    from repro.utils.timer import Timer
+    from repro.obs.timers import Timer
 
     evaluator = BatchedSigmaEvaluator(
         context,
@@ -802,7 +802,7 @@ def _cmd_bench(args) -> int:
     throughput through the named kernel backend (see ``docs/kernels.md``).
     """
     from repro.diffusion.base import SeedSets
-    from repro.utils.timer import Timer
+    from repro.obs.timers import Timer
 
     rng = RngStream(args.seed, name="cli-bench")
     _dataset, context = _build_instance(args, rng)

@@ -17,7 +17,6 @@ provides:
   conductance).
 """
 
-from repro.community.girvan_newman import girvan_newman
 from repro.community.label_prop import label_propagation
 from repro.community.louvain import louvain
 from repro.community.modularity import modularity
@@ -28,5 +27,4 @@ __all__ = [
     "modularity",
     "louvain",
     "label_propagation",
-    "girvan_newman",
 ]

@@ -16,17 +16,7 @@ __all__ = [
     "normalized_mutual_information",
     "purity",
     "conductance",
-    "partition_counts",
-    "mixing_parameter",
 ]
-
-
-def partition_counts(membership: Mapping[Node, int]) -> Dict[int, int]:
-    """Community id -> member count."""
-    counts: Dict[int, int] = {}
-    for community_id in membership.values():
-        counts[community_id] = counts.get(community_id, 0) + 1
-    return counts
 
 
 def _joint_counts(
@@ -90,21 +80,6 @@ def purity(found: Mapping[Node, int], truth: Mapping[Node, int]) -> float:
     for (found_id, _), count in joint.items():
         best[found_id] = max(best.get(found_id, 0), count)
     return sum(best.values()) / n
-
-
-def mixing_parameter(graph: DiGraph, membership: Mapping[Node, int]) -> float:
-    """LFR-style mixing μ: the fraction of edges crossing communities.
-
-    The knob the synthetic generators control and the quantity the
-    mixing-ablation benchmark sweeps; 0 = perfectly separated communities,
-    1 = no community structure at all.
-    """
-    if graph.edge_count == 0:
-        return 0.0
-    crossing = sum(
-        1 for tail, head in graph.edges() if membership[tail] != membership[head]
-    )
-    return crossing / graph.edge_count
 
 
 def conductance(graph: DiGraph, nodes: Iterable[Node]) -> float:

@@ -10,9 +10,9 @@ figures beyond who-beats-whom:
   these three methods, and even the Noblocking line shows similar
   property."
 
-This module computes those quantities — per-hop growth, relative growth
-rate, and the saturation hop — so the benchmarks and tests can assert the
-observations instead of eyeballing curves.
+This module computes those quantities — per-hop growth and relative
+growth rate — so the benchmarks and tests can assert the observations
+instead of eyeballing curves.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "newly_infected",
     "relative_growth",
     "is_growth_non_accelerating",
-    "saturation_hop",
 ]
 
 
@@ -75,21 +74,3 @@ def is_growth_non_accelerating(
         sum(rates[i : i + window]) / window for i in range(len(rates) - window + 1)
     ]
     return all(b <= a + tolerance for a, b in zip(means, means[1:]))
-
-
-def saturation_hop(series: Sequence[float], epsilon: float = 0.01) -> int:
-    """First hop after which every later increment is below ``epsilon``
-    of the final value (the curve has flattened).
-
-    Returns ``len(series) - 1`` if the series never settles.
-    """
-    _check_series(series)
-    if len(series) == 1:
-        return 0
-    final = series[-1]
-    threshold = epsilon * final if final > 0 else epsilon
-    increments = newly_infected(series)
-    for hop in range(len(increments)):
-        if all(increment <= threshold for increment in increments[hop:]):
-            return hop  # increments[hop] is the growth from hop -> hop+1
-    return len(series) - 1

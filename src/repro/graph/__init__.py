@@ -13,29 +13,21 @@ this package provides that substrate from scratch:
   reporting for downstream sketch invalidation.
 * :mod:`repro.graph.traversal` — BFS layers, multi-source BFS, hop
   distances, reachability (the paper's workhorse, Section V).
-* :mod:`repro.graph.components` — weakly/strongly connected components.
 * :mod:`repro.graph.generators` — random-graph models used to synthesise
   datasets (ER, BA, WS, planted partition, power-law communities).
 * :mod:`repro.graph.metrics` — density, degree statistics, clustering.
 * :mod:`repro.graph.io` — edge-list / adjacency / JSON persistence.
-* :mod:`repro.graph.subgraph` — induced subgraphs and boundary extraction.
+* :mod:`repro.graph.subgraph` — induced subgraphs.
 """
 
-from repro.graph.betweenness import edge_betweenness, node_betweenness
 from repro.graph.compact import IndexedDiGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.overlay import apply_updates
-from repro.graph.paths import dijkstra, shortest_weighted_path
-from repro.graph.subgraph import boundary_out_edges, induced_subgraph
+from repro.graph.subgraph import induced_subgraph
 
 __all__ = [
     "DiGraph",
     "IndexedDiGraph",
     "apply_updates",
     "induced_subgraph",
-    "boundary_out_edges",
-    "dijkstra",
-    "shortest_weighted_path",
-    "node_betweenness",
-    "edge_betweenness",
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "planted_partition",
     "powerlaw_sizes",
     "powerlaw_community_digraph",
-    "forest_fire",
 ]
 
 
@@ -208,67 +207,6 @@ def powerlaw_sizes(
         deficit -= 1
         index += 1
     return sizes
-
-
-def forest_fire(
-    n: int,
-    forward_prob: float,
-    backward_prob: float,
-    rng: RngStream,
-    name: str = "ff",
-) -> DiGraph:
-    """Leskovec et al.'s Forest Fire model ([27], the paper's dataset
-    source for graph-evolution properties).
-
-    Each arriving node links to a uniformly chosen ambassador and then
-    "burns" outward: from every newly burned node it follows a
-    geometrically distributed number of out-links (mean
-    ``forward_prob / (1 - forward_prob)``) and in-links (scaled by
-    ``backward_prob``), linking to everything burned. Produces densifying,
-    heavy-tailed, community-ish digraphs.
-
-    Args:
-        n: number of nodes.
-        forward_prob: forward burning probability ``p`` in (0, 1).
-        backward_prob: backward burning ratio ``r`` in [0, 1).
-        rng: random stream.
-    """
-    check_positive(n, "n")
-    check_probability(forward_prob, "forward_prob")
-    check_probability(backward_prob, "backward_prob")
-    if forward_prob >= 1.0:
-        raise ValidationError("forward_prob must be < 1 for the fire to die out")
-    graph = DiGraph(name=name)
-    graph.add_node(0)
-
-    def geometric(p: float) -> int:
-        """Number of successes before failure: mean p / (1 - p)."""
-        if p <= 0.0:
-            return 0
-        count = 0
-        while rng.random() < p and count < n:
-            count += 1
-        return count
-
-    for new_node in range(1, n):
-        graph.add_node(new_node)
-        ambassador = rng.randrange(new_node)
-        burned = {ambassador}
-        frontier = [ambassador]
-        graph.add_edge(new_node, ambassador)
-        while frontier:
-            node = frontier.pop()
-            out_links = [v for v in graph.successors(node) if v not in burned and v != new_node]
-            in_links = [v for v in graph.predecessors(node) if v not in burned and v != new_node]
-            rng.shuffle(out_links)
-            rng.shuffle(in_links)
-            take_out = min(geometric(forward_prob), len(out_links))
-            take_in = min(geometric(forward_prob * backward_prob), len(in_links))
-            for target in out_links[:take_out] + in_links[:take_in]:
-                burned.add(target)
-                frontier.append(target)
-                graph.add_edge(new_node, target)
-    return graph
 
 
 def _weighted_index(cumulative: Sequence[float], rng: RngStream) -> int:

@@ -16,7 +16,7 @@ from typing import Dict, List, Set, Tuple
 
 from repro.graph.digraph import DiGraph, Node
 
-__all__ = ["core_numbers", "k_core_subgraph"]
+__all__ = ["core_numbers"]
 
 
 def core_numbers(graph: DiGraph) -> Dict[Node, int]:
@@ -52,12 +52,3 @@ def core_numbers(graph: DiGraph) -> Dict[Node, int]:
                 degree[neighbor] -= 1
                 heapq.heappush(heap, (degree[neighbor], order[neighbor], neighbor))
     return core
-
-
-def k_core_subgraph(graph: DiGraph, k: int) -> DiGraph:
-    """Induced subgraph of nodes with core number >= ``k``."""
-    cores = core_numbers(graph)
-    from repro.graph.subgraph import induced_subgraph
-
-    keep = [node for node, value in cores.items() if value >= k]
-    return induced_subgraph(graph, keep, name=f"{graph.name}-core{k}")

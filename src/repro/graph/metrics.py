@@ -9,17 +9,15 @@ compare replica vs. paper at a glance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.graph.digraph import DiGraph
 
 __all__ = [
     "average_degree",
     "density",
-    "degree_histogram",
     "reciprocity",
     "local_clustering",
-    "average_clustering",
     "GraphSummary",
     "summarize",
 ]
@@ -42,28 +40,6 @@ def density(graph: DiGraph) -> float:
     if n < 2:
         return 0.0
     return graph.edge_count / (n * (n - 1))
-
-
-def degree_histogram(graph: DiGraph, direction: str = "out") -> List[int]:
-    """Histogram of degrees: index d holds the number of nodes with degree d.
-
-    Args:
-        direction: ``"out"``, ``"in"``, or ``"total"``.
-    """
-    if direction == "out":
-        degrees = [graph.out_degree(node) for node in graph.nodes()]
-    elif direction == "in":
-        degrees = [graph.in_degree(node) for node in graph.nodes()]
-    elif direction == "total":
-        degrees = [graph.degree(node) for node in graph.nodes()]
-    else:
-        raise ValueError(f"direction must be out/in/total, got {direction!r}")
-    if not degrees:
-        return []
-    histogram = [0] * (max(degrees) + 1)
-    for degree in degrees:
-        histogram[degree] += 1
-    return histogram
 
 
 def reciprocity(graph: DiGraph) -> float:
@@ -93,13 +69,6 @@ def local_clustering(graph: DiGraph, node) -> float:
             if graph.has_edge(u, v) or graph.has_edge(v, u):
                 links += 1
     return 2.0 * links / (k * (k - 1))
-
-
-def average_clustering(graph: DiGraph) -> float:
-    """Mean local clustering coefficient over all nodes."""
-    if graph.node_count == 0:
-        return 0.0
-    return sum(local_clustering(graph, node) for node in graph.nodes()) / graph.node_count
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,13 @@
-"""Induced subgraphs and community-boundary extraction.
-
-The LCRB problem reasons about the rumor community's *boundary*: edges that
-leave the community carry the rumor to potential bridge ends (Section IV).
-These helpers extract both the induced subgraph of a node set and the
-directed edges crossing out of it.
-"""
+"""Induced subgraphs: a node set with every edge between its members."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, Set
 
 from repro.errors import NodeNotFoundError
-from repro.graph.digraph import DiGraph, Edge, Node
+from repro.graph.digraph import DiGraph, Node
 
-__all__ = ["induced_subgraph", "boundary_out_edges", "boundary_in_edges", "edge_cut"]
+__all__ = ["induced_subgraph"]
 
 
 def induced_subgraph(graph: DiGraph, nodes: Iterable[Node], name: str = "") -> DiGraph:
@@ -30,50 +24,3 @@ def induced_subgraph(graph: DiGraph, nodes: Iterable[Node], name: str = "") -> D
             if head in keep:
                 sub.add_edge(tail, head, graph.edge_weight(tail, head))
     return sub
-
-
-def boundary_out_edges(graph: DiGraph, nodes: Iterable[Node]) -> List[Edge]:
-    """Directed edges from inside ``nodes`` to outside (rumor escape routes)."""
-    inside = set(nodes)
-    for node in inside:
-        if node not in graph:
-            raise NodeNotFoundError(node)
-    return [
-        (tail, head)
-        for tail in inside
-        for head in graph.successors(tail)
-        if head not in inside
-    ]
-
-
-def boundary_in_edges(graph: DiGraph, nodes: Iterable[Node]) -> List[Edge]:
-    """Directed edges from outside ``nodes`` to inside."""
-    inside = set(nodes)
-    for node in inside:
-        if node not in graph:
-            raise NodeNotFoundError(node)
-    return [
-        (tail, head)
-        for head in inside
-        for tail in graph.predecessors(head)
-        if tail not in inside
-    ]
-
-
-def edge_cut(graph: DiGraph, left: Iterable[Node], right: Iterable[Node]) -> Tuple[int, int]:
-    """Count directed edges crossing between two disjoint node sets.
-
-    Returns:
-        ``(left_to_right, right_to_left)`` edge counts.
-    """
-    left_set, right_set = set(left), set(right)
-    overlap = left_set & right_set
-    if overlap:
-        raise ValueError(f"node sets overlap: {sorted(map(repr, overlap))[:5]}")
-    forward = sum(
-        1 for tail in left_set for head in graph.successors(tail) if head in right_set
-    )
-    backward = sum(
-        1 for tail in right_set for head in graph.successors(tail) if head in left_set
-    )
-    return forward, backward

@@ -24,9 +24,7 @@ __all__ = [
     "bfs_tree",
     "multi_source_distances",
     "reachable_set",
-    "reverse_distances",
     "shortest_hop_distance",
-    "descendants_within",
 ]
 
 
@@ -147,18 +145,6 @@ def reachable_set(
     )
 
 
-def reverse_distances(
-    graph: DiGraph, target: Node, max_depth: Optional[int] = None
-) -> Dict[Node, int]:
-    """Hop distance from every node *to* ``target`` (backward BFS).
-
-    ``reverse_distances(g, v)[u]`` is the length of the shortest directed
-    path ``u -> ... -> v`` — the protector travel time from a candidate seed
-    ``u`` to bridge end ``v`` under DOAM.
-    """
-    return bfs_distances(graph, target, reverse=True, max_depth=max_depth)
-
-
 def shortest_hop_distance(graph: DiGraph, source: Node, target: Node) -> Optional[int]:
     """Length of the shortest directed path, or ``None`` if unreachable."""
     if target not in graph:
@@ -167,12 +153,3 @@ def shortest_hop_distance(graph: DiGraph, source: Node, target: Node) -> Optiona
         if target in layer:
             return depth
     return None
-
-
-def descendants_within(
-    graph: DiGraph, source: Node, hops: int
-) -> Set[Node]:
-    """Nodes reachable from ``source`` in at most ``hops`` hops (source excluded)."""
-    result = reachable_set(graph, [source], max_depth=hops)
-    result.discard(source)
-    return result

@@ -234,13 +234,6 @@ class KernelBackend(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def seeded_counts(seeds: CascadeSet, batch: int) -> tuple:
-    """Hop-0 series entries shared by all backends: seed counts per world."""
-    infected0 = [len(seeds.cascades[0])] * batch
-    protected0 = [sum(len(c) for c in seeds.cascades[1:])] * batch
-    return infected0, protected0
-
-
 def seeded_states(node_count: int, seeds: CascadeSet) -> List[int]:
     """One world's initial state row (cascade ``k`` seeds -> state ``k+1``)."""
     states = [0] * node_count

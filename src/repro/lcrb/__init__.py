@@ -1,15 +1,11 @@
 """The Least Cost Rumor Blocking problem layer.
 
-* :mod:`repro.lcrb.problem` — the validated problem objects: LCRB-P
-  (protect an α fraction of bridge ends, OPOAO) and LCRB-D (protect all of
-  them, DOAM) — Definitions 2 and 3.
 * :mod:`repro.lcrb.evaluation` — protector-set evaluation: infected-per-
   hop series, bridge-end protection statistics (the quantities plotted in
   Fig. 4-9).
 * :mod:`repro.lcrb.pipeline` — the end-to-end flow: detect communities,
   choose the rumor community, draw rumor seeds, find bridge ends, select
-  protectors, evaluate; ``service_from_context`` hands a resolved
-  instance to the warm query service (:mod:`repro.serve`).
+  protectors, evaluate.
 * :mod:`repro.lcrb.gossip_blocking` — the same protector-selection
   question re-scored on the message-passing gossip workload
   (:mod:`repro.gossip`): messages sent versus final infected.
@@ -38,14 +34,9 @@ from repro.lcrb.gossip_blocking import (
 from repro.lcrb.pipeline import (
     build_context,
     draw_rumor_seeds,
-    service_from_context,
 )
-from repro.lcrb.problem import LCRBDProblem, LCRBPProblem, LCRBProblem
 
 __all__ = [
-    "LCRBProblem",
-    "LCRBPProblem",
-    "LCRBDProblem",
     "EvaluationResult",
     "evaluate_protectors",
     "resolve_seed_labels",
@@ -55,7 +46,6 @@ __all__ = [
     "ImpressionScenario",
     "build_context",
     "draw_rumor_seeds",
-    "service_from_context",
     "GossipBlockingResult",
     "GossipBlockingScenario",
     "GossipStrategyRow",

@@ -23,8 +23,6 @@ __all__ = [
     "detect_communities",
     "draw_rumor_seeds",
     "build_context",
-    "build_multi_community_context",
-    "service_from_context",
 ]
 
 
@@ -97,63 +95,3 @@ def build_context(
         graph, communities.members(rumor_community), rumor_seeds
     )
     return context, communities, rumor_community
-
-
-def service_from_context(context: SelectionContext, **service_kwargs):
-    """Promote a resolved LCRB instance into a warm query service.
-
-    The batch pipeline and the serving layer share one id space: the
-    service is built on ``context.indexed`` with the rumor community
-    mapped to ids, so ``service.query(context.rumor_seed_ids(), ...)``
-    answers the same instance the selectors solve — and stays warm for
-    follow-up queries and edge updates (see ``docs/serving.md``).
-
-    Args:
-        context: the resolved instance.
-        **service_kwargs: forwarded to
-            :class:`~repro.serve.RumorBlockingService` (``semantics``,
-            ``steps``, ``seed``, ``initial_worlds``, ``executor``, ...).
-
-    Returns:
-        ``(service, seed_ids)`` — the service and the instance's rumor
-        seeds as ids, ready to pass to ``service.query``.
-    """
-    from repro.serve import RumorBlockingService
-
-    indexed = context.indexed
-    community_ids = sorted(indexed.indices(context.rumor_community))
-    service = RumorBlockingService(indexed, community_ids, **service_kwargs)
-    return service, context.rumor_seed_ids()
-
-
-def build_multi_community_context(
-    graph: DiGraph,
-    communities: CommunityStructure,
-    rumor_seeds: Iterable[Node],
-) -> SelectionContext:
-    """Extension: rumors originating in *several* communities at once.
-
-    Definition 2 fixes a single rumor community; real incidents (the
-    paper's oil-price rumor circulated network-wide within hours) may
-    surface in several communities simultaneously. The natural
-    generalisation treats the union of the seed-hosting communities as the
-    containment zone: bridge ends are nodes *outside every* rumor
-    community with a direct in-neighbor inside one, and all algorithms
-    work unchanged on the resulting context.
-
-    Args:
-        graph: the social network.
-        communities: the community cover.
-        rumor_seeds: originators; their communities are inferred.
-
-    Returns:
-        A :class:`SelectionContext` whose ``rumor_community`` is the union
-        of all seed-hosting communities.
-    """
-    seeds = tuple(dict.fromkeys(rumor_seeds))
-    if not seeds:
-        raise SeedError("rumor seed set must not be empty")
-    zone = set()
-    for seed in seeds:
-        zone |= communities.members(communities.community_of(seed))
-    return SelectionContext(graph, zone, seeds)

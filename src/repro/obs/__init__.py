@@ -9,8 +9,7 @@ Public surface:
   :func:`~repro.obs.registry.use_registry` — the process-wide active
   registry (a no-op :data:`~repro.obs.registry.NULL_REGISTRY` unless a
   real one is installed).
-* :class:`~repro.obs.timers.Timer` — the wall-clock context manager
-  (formerly ``repro.utils.timer``, still re-exported there).
+* :class:`~repro.obs.timers.Timer` — the wall-clock context manager.
 
 See ``docs/observability.md`` for the instrumented metric names, the
 JSON schema, and how the CI benchmark-regression gate consumes it.

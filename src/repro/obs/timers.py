@@ -2,10 +2,8 @@
 
 :class:`Timer` is a re-enterable context manager that accumulates elapsed
 seconds across several timed sections — how the experiment harness
-attributes time to pipeline stages. It grew out of
-``repro.utils.timer`` (which still re-exports it for compatibility) and
-gained the :meth:`merge` / :meth:`to_dict` halves of the
-snapshot-and-merge protocol used by
+attributes time to pipeline stages. :meth:`merge` / :meth:`to_dict` are
+its halves of the snapshot-and-merge protocol used by
 :class:`repro.obs.registry.MetricsRegistry`.
 """
 

@@ -5,7 +5,7 @@ diffusion simulation per candidate evaluation; this package replaces
 that with Reverse Influence Sampling (Tong et al., arXiv:1701.02368
 brought the technique to rumor blocking): sample random worlds once,
 keep one reverse-reachable (RR) set per at-risk bridge end, and score
-any protector set by sketch coverage. Three layers:
+any protector set by sketch coverage. Four modules:
 
 * :mod:`repro.sketch.rrset` — samplers producing the RR sets under the
   paper's two semantics (OPOAO timestamp process, DOAM arrival times).
@@ -18,15 +18,12 @@ any protector set by sketch coverage. Three layers:
 * :mod:`repro.sketch.coverage` — :func:`max_coverage`, the lazy-greedy
   (CELF) selection core shared by the batch selector and the query
   service.
-* :mod:`repro.sketch.estimator` — :class:`SketchSigmaEstimator`, a
-  drop-in for the Monte-Carlo σ estimator seam.
 
 The selector built on top lives in :mod:`repro.algorithms.ris_greedy`;
 the long-running query service in :mod:`repro.serve`.
 """
 
 from repro.sketch.coverage import max_coverage, protected_fraction
-from repro.sketch.estimator import SketchSigmaEstimator
 from repro.sketch.kernels import (
     available_sketch_backends,
     resolve_sketch_backend,
@@ -48,7 +45,6 @@ __all__ = [
     "DOAMRRSampler",
     "sampler_for",
     "SketchStore",
-    "SketchSigmaEstimator",
     "max_coverage",
     "protected_fraction",
     "available_sketch_backends",

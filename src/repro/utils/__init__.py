@@ -4,7 +4,6 @@ Submodules:
 
 * :mod:`repro.utils.validation` — argument checking helpers that raise
   :class:`repro.errors.ValidationError` with actionable messages.
-* :mod:`repro.utils.timer` — wall-clock timers for experiment reporting.
 * :mod:`repro.utils.tables` — plain-text table rendering for experiment
   output (no third-party dependency).
 * :mod:`repro.utils.stats` — small statistics helpers (mean, stdev,
@@ -13,10 +12,8 @@ Submodules:
 
 from repro.utils.stats import RunningStats, mean, stdev
 from repro.utils.tables import format_series, format_table
-from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_fraction,
-    check_non_negative,
     check_positive,
     check_probability,
 )
@@ -27,9 +24,7 @@ __all__ = [
     "stdev",
     "format_series",
     "format_table",
-    "Timer",
     "check_fraction",
-    "check_non_negative",
     "check_positive",
     "check_probability",
 ]

@@ -17,20 +17,11 @@ from repro.errors import ValidationError
 
 __all__ = [
     "check_positive",
-    "check_non_negative",
     "check_probability",
     "check_fraction",
-    "check_int",
 ]
 
 Number = Union[int, float]
-
-
-def check_int(value: object, name: str) -> int:
-    """Require ``value`` to be an integer (bools rejected); return it."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an int, got {value!r}")
-    return value
 
 
 def check_positive(value: Number, name: str) -> Number:
@@ -39,15 +30,6 @@ def check_positive(value: Number, name: str) -> Number:
         raise ValidationError(f"{name} must be a number, got {value!r}")
     if value <= 0:
         raise ValidationError(f"{name} must be > 0, got {value!r}")
-    return value
-
-
-def check_non_negative(value: Number, name: str) -> Number:
-    """Require ``value >= 0``; return it."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    if value < 0:
-        raise ValidationError(f"{name} must be >= 0, got {value!r}")
     return value
 
 

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.community.metrics import (
-    conductance,
-    normalized_mutual_information,
-    partition_counts,
-    purity,
-)
+from repro.community.metrics import conductance, normalized_mutual_information, purity
 from repro.graph.digraph import DiGraph
 
 
@@ -73,30 +68,3 @@ class TestConductance:
         community = conductance(g, [0, 1, 2, 3])
         random_split = conductance(g, [0, 1, 4, 5])
         assert community < random_split
-
-
-class TestPartitionCounts:
-    def test_counts(self):
-        assert partition_counts({0: 0, 1: 0, 2: 1}) == {0: 2, 1: 1}
-
-
-class TestMixingParameter:
-    def test_values(self):
-        from repro.community.metrics import mixing_parameter
-
-        g = DiGraph.from_edges([(0, 1), (1, 0), (0, 2), (2, 3), (3, 2)])
-        membership = {0: 0, 1: 0, 2: 1, 3: 1}
-        # One crossing edge (0 -> 2) of five.
-        assert mixing_parameter(g, membership) == 0.2
-
-    def test_no_structure(self):
-        from repro.community.metrics import mixing_parameter
-
-        g = DiGraph.from_edges([(0, 1), (1, 2)])
-        membership = {0: 0, 1: 1, 2: 2}
-        assert mixing_parameter(g, membership) == 1.0
-
-    def test_empty_graph(self):
-        from repro.community.metrics import mixing_parameter
-
-        assert mixing_parameter(DiGraph(), {}) == 0.0

@@ -6,7 +6,6 @@ from repro.diffusion.analysis import (
     is_growth_non_accelerating,
     newly_infected,
     relative_growth,
-    saturation_hop,
 )
 from repro.errors import ValidationError
 
@@ -53,25 +52,6 @@ class TestNonAccelerating:
         assert is_growth_non_accelerating(series, tolerance=0.05)
 
 
-class TestSaturationHop:
-    def test_flat_tail_found(self):
-        series = [1, 10, 50, 90, 99, 100, 100, 100]
-        assert saturation_hop(series, epsilon=0.02) == 4
-
-    def test_never_settles(self):
-        series = [float(2**i) for i in range(8)]
-        assert saturation_hop(series, epsilon=0.001) == 7
-
-    def test_constant_series(self):
-        assert saturation_hop([5, 5, 5]) == 0
-
-    def test_single_point(self):
-        assert saturation_hop([5]) == 0
-
-    def test_all_zero(self):
-        assert saturation_hop([0, 0, 0]) == 0
-
-
 class TestOnRealSimulation:
     def test_doam_flood_saturates_fast(self, chain):
         from repro.diffusion.base import SeedSets
@@ -79,5 +59,5 @@ class TestOnRealSimulation:
 
         outcome = DOAMModel().run(chain.to_indexed(), SeedSets(rumors=[0]), max_hops=20)
         series = outcome.trace.padded_infected(20)
-        assert saturation_hop(series) <= 5
+        assert not any(newly_infected(series)[5:])  # flat after hop 5
         assert is_growth_non_accelerating(series, tolerance=0.25)

@@ -127,43 +127,6 @@ class TestPowerlawSizes:
         assert max(sizes) > 2 * min(sizes)
 
 
-class TestForestFire:
-    def test_node_count_and_connectivity(self, rng):
-        from repro.graph.components import is_weakly_connected
-        from repro.graph.generators import forest_fire
-
-        g = forest_fire(60, 0.35, 0.2, rng)
-        assert g.node_count == 60
-        assert is_weakly_connected(g)  # every arrival links to an ambassador
-
-    def test_densification_with_higher_p(self):
-        from repro.graph.generators import forest_fire
-
-        sparse = forest_fire(80, 0.1, 0.1, RngStream(1))
-        dense = forest_fire(80, 0.45, 0.3, RngStream(1))
-        assert dense.edge_count > sparse.edge_count
-
-    def test_deterministic(self):
-        from repro.graph.generators import forest_fire
-
-        a = forest_fire(40, 0.3, 0.2, RngStream(2))
-        b = forest_fire(40, 0.3, 0.2, RngStream(2))
-        assert sorted(a.edges()) == sorted(b.edges())
-
-    def test_forward_prob_one_rejected(self, rng):
-        from repro.graph.generators import forest_fire
-
-        with pytest.raises(ValidationError):
-            forest_fire(10, 1.0, 0.2, rng)
-
-    def test_single_node(self, rng):
-        from repro.graph.generators import forest_fire
-
-        g = forest_fire(1, 0.3, 0.2, rng)
-        assert g.node_count == 1
-        assert g.edge_count == 0
-
-
 class TestPowerlawCommunityDigraph:
     def test_basic_statistics(self, rng):
         g, membership = powerlaw_community_digraph(

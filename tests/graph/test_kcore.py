@@ -1,7 +1,7 @@
 """Unit tests for k-core decomposition."""
 
 from repro.graph.digraph import DiGraph
-from repro.graph.kcore import core_numbers, k_core_subgraph
+from repro.graph.kcore import core_numbers
 
 
 def clique(size: int, offset: int = 0) -> DiGraph:
@@ -60,14 +60,3 @@ class TestCoreNumbers:
         cores = core_numbers(g)
         assert cores[1] == 4
         assert cores[11] == 2
-
-
-class TestKCoreSubgraph:
-    def test_extracts_dense_part(self):
-        g = clique(4)
-        g.add_symmetric_edge(0, "pendant")
-        sub = k_core_subgraph(g, 3)
-        assert set(sub.nodes()) == {0, 1, 2, 3}
-
-    def test_k_zero_keeps_everything(self, chain):
-        assert k_core_subgraph(chain, 0).node_count == chain.node_count

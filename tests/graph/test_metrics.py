@@ -4,9 +4,7 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.metrics import (
-    average_clustering,
     average_degree,
-    degree_histogram,
     density,
     local_clustering,
     reciprocity,
@@ -29,25 +27,6 @@ class TestDegreeStats:
         g.add_node(1)
         assert density(g) == 0.0
 
-    def test_degree_histogram_out(self, diamond):
-        histogram = degree_histogram(diamond, "out")
-        # s has out 2; a, b have out 1; t has out 0.
-        assert histogram == [1, 2, 1]
-
-    def test_degree_histogram_in(self, diamond):
-        assert degree_histogram(diamond, "in") == [1, 2, 1]
-
-    def test_degree_histogram_total(self, diamond):
-        assert degree_histogram(diamond, "total") == [0, 0, 4]
-
-    def test_degree_histogram_bad_direction(self, diamond):
-        with pytest.raises(ValueError):
-            degree_histogram(diamond, "sideways")
-
-    def test_degree_histogram_empty(self):
-        assert degree_histogram(DiGraph()) == []
-
-
 class TestReciprocity:
     def test_fully_reciprocal(self):
         g = DiGraph()
@@ -65,7 +44,6 @@ class TestClustering:
     def test_triangle_clusters_fully(self):
         g = DiGraph.from_edges([(0, 1), (1, 2), (2, 0)])
         assert local_clustering(g, 0) == 1.0
-        assert average_clustering(g) == 1.0
 
     def test_star_has_zero_clustering(self):
         g = DiGraph.from_edges([(0, i) for i in range(1, 5)])
@@ -73,9 +51,6 @@ class TestClustering:
 
     def test_degree_below_two_is_zero(self, chain):
         assert local_clustering(chain, 0) == 0.0
-
-    def test_average_clustering_empty(self):
-        assert average_clustering(DiGraph()) == 0.0
 
 
 class TestSummary:

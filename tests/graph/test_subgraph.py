@@ -1,15 +1,10 @@
-"""Unit tests for induced subgraphs and boundary extraction."""
+"""Unit tests for induced subgraphs."""
 
 import pytest
 
 from repro.errors import NodeNotFoundError
 from repro.graph.digraph import DiGraph
-from repro.graph.subgraph import (
-    boundary_in_edges,
-    boundary_out_edges,
-    edge_cut,
-    induced_subgraph,
-)
+from repro.graph.subgraph import induced_subgraph
 
 
 @pytest.fixture
@@ -40,29 +35,3 @@ class TestInducedSubgraph:
         g.add_edge(1, 2, weight=3.0)
         sub = induced_subgraph(g, [1, 2])
         assert sub.edge_weight(1, 2) == 3.0
-
-
-class TestBoundaries:
-    def test_out_edges(self, split_graph):
-        assert boundary_out_edges(split_graph, [0, 1, 2]) == [(2, 3)]
-
-    def test_in_edges(self, split_graph):
-        assert boundary_in_edges(split_graph, [0, 1, 2]) == [(4, 0)]
-
-    def test_whole_graph_has_no_boundary(self, split_graph):
-        assert boundary_out_edges(split_graph, list(split_graph.nodes())) == []
-
-    def test_missing_node_raises(self, split_graph):
-        with pytest.raises(NodeNotFoundError):
-            boundary_out_edges(split_graph, [99])
-
-
-class TestEdgeCut:
-    def test_counts_both_directions(self, split_graph):
-        forward, backward = edge_cut(split_graph, [0, 1, 2], [3, 4])
-        assert forward == 1  # 2 -> 3
-        assert backward == 1  # 4 -> 0
-
-    def test_overlap_rejected(self, split_graph):
-        with pytest.raises(ValueError):
-            edge_cut(split_graph, [0, 1], [1, 2])

@@ -8,10 +8,8 @@ from repro.graph.traversal import (
     bfs_distances,
     bfs_layers,
     bfs_tree,
-    descendants_within,
     multi_source_distances,
     reachable_set,
-    reverse_distances,
     shortest_hop_distance,
 )
 
@@ -65,7 +63,7 @@ class TestDistances:
         assert 2 not in bfs_distances(g, 0)
 
     def test_reverse_distances_are_path_lengths_to_target(self, diamond):
-        distances = reverse_distances(diamond, "t")
+        distances = bfs_distances(diamond, "t", reverse=True)
         assert distances == {"t": 0, "a": 1, "b": 1, "s": 2}
 
     def test_max_depth_cuts_off(self, chain):
@@ -107,10 +105,6 @@ class TestReachability:
     def test_shortest_hop_missing_target_raises(self, diamond):
         with pytest.raises(NodeNotFoundError):
             shortest_hop_distance(diamond, "s", "ghost")
-
-    def test_descendants_within(self, chain):
-        assert descendants_within(chain, 0, 2) == {1, 2}
-        assert descendants_within(chain, 5, 3) == set()
 
     def test_cycle_terminates(self, cycle):
         distances = bfs_distances(cycle, 0)

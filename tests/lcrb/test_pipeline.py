@@ -89,52 +89,3 @@ class TestBuildContext:
         _, toy_cover, _ = toy
         with pytest.raises(ValidationError):
             build_context(graph, communities=toy_cover)
-
-
-class TestMultiCommunityContext:
-    def test_zone_is_union_of_seed_communities(self, blocks):
-        from repro.lcrb.pipeline import build_multi_community_context
-
-        graph, membership = blocks
-        cover = CommunityStructure(graph, membership)
-        # Seeds in communities 0 and 2 (nodes 0..19 and 40..59).
-        context = build_multi_community_context(graph, cover, [3, 45])
-        assert context.rumor_community == cover.members(0) | cover.members(2)
-
-    def test_bridge_ends_outside_every_rumor_community(self, blocks):
-        from repro.lcrb.pipeline import build_multi_community_context
-
-        graph, membership = blocks
-        cover = CommunityStructure(graph, membership)
-        context = build_multi_community_context(graph, cover, [3, 45])
-        for end in context.bridge_ends:
-            assert cover.community_of(end) == 1  # the only non-rumor block
-
-    def test_single_community_degenerates_to_definition2(self, blocks):
-        from repro.algorithms.base import SelectionContext
-        from repro.lcrb.pipeline import build_multi_community_context
-
-        graph, membership = blocks
-        cover = CommunityStructure(graph, membership)
-        multi = build_multi_community_context(graph, cover, [3, 7])
-        single = SelectionContext(graph, cover.members(0), [3, 7])
-        assert multi.bridge_ends == single.bridge_ends
-
-    def test_scbg_runs_on_multi_context(self, blocks):
-        from repro.algorithms.heuristics import prefix_protects_all
-        from repro.algorithms.scbg import SCBGSelector
-        from repro.lcrb.pipeline import build_multi_community_context
-
-        graph, membership = blocks
-        cover = CommunityStructure(graph, membership)
-        context = build_multi_community_context(graph, cover, [3, 45])
-        cover_set = SCBGSelector().select(context)
-        assert prefix_protects_all(context, cover_set)
-
-    def test_empty_seeds_rejected(self, blocks):
-        from repro.lcrb.pipeline import build_multi_community_context
-
-        graph, membership = blocks
-        cover = CommunityStructure(graph, membership)
-        with pytest.raises(SeedError):
-            build_multi_community_context(graph, cover, [])

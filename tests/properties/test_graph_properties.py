@@ -3,12 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.components import (
-    strongly_connected_components,
-    weakly_connected_components,
-)
 from repro.graph.digraph import DiGraph
-from repro.graph.metrics import degree_histogram
 from repro.graph.subgraph import induced_subgraph
 from repro.graph.traversal import bfs_distances, multi_source_distances
 
@@ -81,11 +76,6 @@ class TestGraphInvariants:
             assert graph.out_degree(node) == reverse.in_degree(node)
             assert graph.in_degree(node) == reverse.out_degree(node)
 
-    @given(small_digraphs())
-    @settings(max_examples=40, deadline=None)
-    def test_histogram_sums_to_node_count(self, graph):
-        assert sum(degree_histogram(graph, "out")) == graph.node_count
-
     @given(small_digraphs(), st.sets(st.integers(0, 11), max_size=8))
     @settings(max_examples=40, deadline=None)
     def test_induced_subgraph_closed(self, graph, nodes):
@@ -121,23 +111,3 @@ class TestTraversalInvariants:
             assert distance == min(
                 d.get(node, float("inf")) for d in singles
             )
-
-
-class TestComponentInvariants:
-    @given(small_digraphs())
-    @settings(max_examples=40, deadline=None)
-    def test_weak_components_partition_nodes(self, graph):
-        components = weakly_connected_components(graph)
-        seen = [n for component in components for n in component]
-        assert sorted(seen) == sorted(graph.nodes())
-        assert len(seen) == len(set(seen))
-
-    @given(small_digraphs())
-    @settings(max_examples=40, deadline=None)
-    def test_sccs_partition_and_refine_weak(self, graph):
-        sccs = strongly_connected_components(graph)
-        seen = [n for component in sccs for n in component]
-        assert sorted(seen) == sorted(graph.nodes())
-        weak = weakly_connected_components(graph)
-        for scc in sccs:
-            assert any(scc <= component for component in weak)

@@ -1,5 +1,6 @@
-"""Statistical agreement of the RR-sketch estimator with Monte-Carlo σ.
+"""Statistical agreement of the RR-sketch σ̂ with Monte-Carlo σ.
 
+σ̂ is ``SketchStore.sigma`` over the worlds ``ensure_worlds`` sampled.
 Under DOAM both estimators compute the same deterministic quantity, so
 they must agree **exactly** on every protector set. Under OPOAO the
 sketch samples the submodularity proof's coupled ``(G_R, G_P)``
@@ -20,7 +21,9 @@ from repro.algorithms.greedy import SigmaEstimator
 from repro.datasets.toy import figure2_graph, two_community_toy
 from repro.diffusion.doam import DOAMModel
 from repro.rng import RngStream
-from repro.sketch.estimator import SketchSigmaEstimator
+from repro.sketch.coverage import protected_fraction
+from repro.sketch.rrset import sampler_for
+from repro.sketch.store import SketchStore
 
 # Sample sizes keep per-test wall clock small; per-world counts lie in
 # [0, |B|] with |B| <= 3, so the two standard errors total well under
@@ -45,6 +48,15 @@ def _context(name) -> SelectionContext:
     )
 
 
+def _store(context, semantics, worlds=1, seed=0):
+    sampler = sampler_for(semantics, context, rng=RngStream(seed))
+    return SketchStore(sampler).ensure_worlds(worlds)
+
+
+def _sigma(store, context, protectors):
+    return store.sigma(context.indexed.indices(protectors))
+
+
 @st.composite
 def candidate_subsets(draw, pool):
     size = draw(st.integers(min_value=0, max_value=min(3, len(pool))))
@@ -59,44 +71,40 @@ class TestDOAMExact:
     @settings(max_examples=30, deadline=None)
     def test_toy_equality(self, protectors):
         context = _context("toy")
-        sketch = SketchSigmaEstimator(context, semantics="doam")
+        store = _store(context, "doam")
         reference = SigmaEstimator(context, model=DOAMModel(), runs=1)
-        assert sketch.sigma(protectors) == reference.sigma(protectors)
+        assert _sigma(store, context, protectors) == reference.sigma(protectors)
 
     @given(protectors=candidate_subsets(FIG2_CANDIDATES))
     @settings(max_examples=30, deadline=None)
     def test_figure2_equality(self, protectors):
         context = _context("fig2")
-        sketch = SketchSigmaEstimator(context, semantics="doam")
+        store = _store(context, "doam")
         reference = SigmaEstimator(context, model=DOAMModel(), runs=1)
-        assert sketch.sigma(protectors) == reference.sigma(protectors)
+        assert _sigma(store, context, protectors) == reference.sigma(protectors)
 
 
 class TestOPOAOUnbiased:
     @pytest.fixture()
     def toy_estimators(self, toy_context):
         return (
-            SketchSigmaEstimator(
-                toy_context, semantics="opoao", worlds=WORLDS, rng=RngStream(3)
-            ),
+            _store(toy_context, "opoao", WORLDS, seed=3),
             SigmaEstimator(toy_context, runs=RUNS, rng=RngStream(17)),
         )
 
     @pytest.fixture()
     def fig2_estimators(self, fig2_context):
         return (
-            SketchSigmaEstimator(
-                fig2_context, semantics="opoao", worlds=WORLDS, rng=RngStream(3)
-            ),
+            _store(fig2_context, "opoao", WORLDS, seed=3),
             SigmaEstimator(fig2_context, runs=RUNS, rng=RngStream(17)),
         )
 
     @pytest.mark.parametrize(
         "protectors", [["d"], ["e"], ["b"], ["d", "e"], []]
     )
-    def test_toy_agreement(self, toy_estimators, protectors):
-        sketch, mc = toy_estimators
-        assert sketch.sigma(protectors) == pytest.approx(
+    def test_toy_agreement(self, toy_estimators, toy_context, protectors):
+        store, mc = toy_estimators
+        assert _sigma(store, toy_context, protectors) == pytest.approx(
             mc.sigma(protectors), abs=TOLERANCE
         )
 
@@ -104,14 +112,14 @@ class TestOPOAOUnbiased:
         "protectors",
         [["v1"], ["R1"], ["s1"], ["s2"], ["v1", "R1"], ["v1", "s1"], ["q1"]],
     )
-    def test_figure2_agreement(self, fig2_estimators, protectors):
-        sketch, mc = fig2_estimators
-        assert sketch.sigma(protectors) == pytest.approx(
+    def test_figure2_agreement(self, fig2_estimators, fig2_context, protectors):
+        store, mc = fig2_estimators
+        assert _sigma(store, fig2_context, protectors) == pytest.approx(
             mc.sigma(protectors), abs=TOLERANCE
         )
 
     def test_protected_fraction_agreement(self, fig2_estimators, fig2_context):
-        sketch, _ = fig2_estimators
+        store, _ = fig2_estimators
         from repro.lcrb import evaluate_protectors
         from repro.diffusion.opoao import OPOAOModel
 
@@ -122,6 +130,8 @@ class TestOPOAOUnbiased:
             runs=RUNS,
             rng=RngStream(23),
         )
-        assert sketch.protected_fraction(["v1", "R1"]) == pytest.approx(
+        covered = store.coverage_count(fig2_context.indexed.indices(["v1", "R1"]))
+        ends = len(fig2_context.bridge_end_ids())
+        assert protected_fraction(store, covered, ends) == pytest.approx(
             simulated.protected_bridge_fraction, abs=0.1
         )

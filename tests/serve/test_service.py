@@ -230,25 +230,6 @@ class TestValidation:
             RumorBlockingService(graph, [])
 
 
-class TestPipelineHandoff:
-    def test_service_from_context_answers_the_same_instance(self):
-        """The batch pipeline's resolved instance promotes to a warm
-        service sharing the same id space."""
-        from repro.lcrb import build_context, service_from_context
-
-        digraph, _ = planted_partition(
-            [15, 15, 15], 0.35, 0.03, RngStream(5)
-        )
-        context, _, _ = build_context(digraph, rng=RngStream(11))
-        service, seed_ids = service_from_context(
-            context, steps=6, seed=13, initial_worlds=16, max_worlds=32
-        )
-        assert set(seed_ids) <= service.community
-        result = service.query(seed_ids, **QUERY)
-        assert result["cold"] is True
-        assert service.query(seed_ids, **QUERY)["rrsets_sampled"] == 0
-
-
 class TestStats:
     def test_snapshot_shape(self):
         service, community = build_service()

@@ -64,12 +64,14 @@ class TestCompareDocuments:
         assert failures == []
         assert notes and "improved" in notes[0]
 
-    def test_new_counter_is_informational(self):
-        failures, notes = compare_documents(
-            _document({}), _document({"sketch.rrsets_sampled": 3})
+    def test_new_counter_without_baseline_fails(self):
+        failures, _ = compare_documents(
+            _document({"sim.rounds": 10}),
+            _document({"sim.rounds": 10, "sketch.rrsets_sampled": 3}),
         )
-        assert failures == []
-        assert notes and "no baseline" in notes[0]
+        assert len(failures) == 1
+        assert "'sketch.rrsets_sampled'" in failures[0]
+        assert "no baseline" in failures[0]
 
     def test_config_mismatch_fails_before_counters(self):
         base = _document({"sim.rounds": 10}, scale=0.05)

@@ -4,11 +4,11 @@ import doctest
 
 import pytest
 
+import repro.obs.timers
 import repro.rng
 import repro.utils.stats
-import repro.utils.timer
 
-MODULES = [repro.rng, repro.utils.stats, repro.utils.timer]
+MODULES = [repro.rng, repro.utils.stats, repro.obs.timers]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

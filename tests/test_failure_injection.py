@@ -21,7 +21,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.graph.digraph import DiGraph
-from repro.lcrb.problem import LCRBPProblem
+from repro.lcrb.pipeline import build_context
 from repro.rng import RngStream
 
 
@@ -64,7 +64,7 @@ class TestCommunityFailures:
         graph, communities, info = toy
         other_graph, _, _ = fig2
         with pytest.raises(ValidationError):
-            LCRBPProblem(other_graph, communities, 0, info["rumor_seeds"], alpha=0.5)
+            build_context(other_graph, communities, 0, info["rumor_seeds"])
 
     def test_partial_cover_rejected(self, toy):
         graph, _, _ = toy

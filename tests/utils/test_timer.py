@@ -2,7 +2,7 @@
 
 import time
 
-from repro.utils.timer import Timer
+from repro.obs.timers import Timer
 
 
 class TestTimer:

@@ -3,24 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.utils.validation import (
-    check_fraction,
-    check_int,
-    check_non_negative,
-    check_positive,
-    check_probability,
-)
-
-
-class TestCheckInt:
-    def test_accepts_int(self):
-        assert check_int(5, "x") == 5
-
-    def test_rejects_bool_and_float(self):
-        with pytest.raises(ValidationError):
-            check_int(True, "x")
-        with pytest.raises(ValidationError):
-            check_int(1.0, "x")
+from repro.utils.validation import check_fraction, check_positive, check_probability
 
 
 class TestCheckPositive:
@@ -36,15 +19,6 @@ class TestCheckPositive:
     def test_message_names_parameter(self):
         with pytest.raises(ValidationError, match="alpha"):
             check_positive(-2, "alpha")
-
-
-class TestCheckNonNegative:
-    def test_zero_allowed(self):
-        assert check_non_negative(0, "x") == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            check_non_negative(-0.1, "x")
 
 
 class TestCheckProbability:
