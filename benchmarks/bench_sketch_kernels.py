@@ -9,7 +9,9 @@ documents carry identical ``sketch.*`` work counters and only the wall
 clocks differ — ``BENCH_sketch_kernels_<backend>.json`` feeds the CI
 regression gate while :func:`test_numpy_speedup_over_python` holds the
 >=2x throughput floor in-process at steps 4 and 8 (the horizons the
-serve and select workloads sample at) and 31 (the paper's).
+serve and select workloads sample at) and 31 (the paper's), and
+:func:`test_numpy_block_speedup_over_one_world_calls` holds the gain of
+sampling many worlds in one call (the numpy kernel's blocks of worlds).
 """
 
 import time
@@ -37,6 +39,13 @@ SHORT_HORIZON_WORLDS = 24
 
 #: Throughput floor for the vectorized backend, at every horizon.
 MIN_SPEEDUP = 2.0
+
+#: Floor for one numpy call over SHORT_HORIZON_WORLDS worlds against
+#: one call per world, at steps 4.
+MIN_BLOCK_SPEEDUP = 1.5
+
+#: Timed passes per arm of the block check; the fastest one counts.
+BLOCK_REPEATS = 3
 
 
 @pytest.fixture(scope="module")
@@ -147,4 +156,73 @@ def test_numpy_speedup_over_python(instance, report_result, steps):
     assert speedup >= MIN_SPEEDUP, (
         f"numpy sampling speedup {speedup:.2f}x < {MIN_SPEEDUP}x over python "
         f"at steps {steps}"
+    )
+
+
+def test_numpy_block_speedup_over_one_world_calls(instance, report_result):
+    """One numpy call over 24 worlds beats 24 one-world calls by 1.5x.
+
+    The numpy kernel samples a call's worlds in blocks, one pass of
+    array expressions per block; a one-world call pays that whole pass
+    for a single world. Both arms draw the same worlds bit for bit.
+    """
+    if "numpy" not in available_sketch_backends():
+        pytest.skip("numpy backend unavailable")
+
+    steps = 4
+    worlds = SHORT_HORIZON_WORLDS
+    sampler = make_sampler(instance, steps)
+    # Build the numpy CSR arrays outside the timed passes.
+    sample_worlds(sampler, [worlds], backend="numpy")
+
+    def one_call():
+        return sample_worlds(sampler, range(worlds), backend="numpy")
+
+    def one_call_per_world():
+        return [
+            sample_worlds(sampler, [index], backend="numpy")[0]
+            for index in range(worlds)
+        ]
+
+    timings = {}
+    sampled = {}
+    for arm in (one_call, one_call_per_world):
+        best = float("inf")
+        for _ in range(BLOCK_REPEATS):
+            started = time.perf_counter()
+            sampled[arm.__name__] = arm()
+            best = min(best, time.perf_counter() - started)
+        timings[arm.__name__] = best
+
+    for single, blocked in zip(
+        sampled["one_call_per_world"], sampled["one_call"]
+    ):
+        assert blocked.index == single.index
+        assert blocked.rr_sets == single.rr_sets
+        assert blocked.footprint == single.footprint
+
+    speedup = timings["one_call_per_world"] / max(timings["one_call"], 1e-9)
+    text = (
+        f"sketch kernels, enron-small scale={SCALE}, "
+        f"{worlds} worlds, steps={steps}, numpy\n"
+        f"  one call {timings['one_call']:.4f}s  "
+        f"one call per world {timings['one_call_per_world']:.4f}s  "
+        f"speedup {speedup:.2f}x"
+    )
+    report_result(
+        text,
+        f"sketch_kernels_block_speedup_steps{steps}",
+        payload={
+            "dataset": "enron-small",
+            "scale": SCALE,
+            "worlds": worlds,
+            "steps": steps,
+            "one_call_seconds": timings["one_call"],
+            "one_call_per_world_seconds": timings["one_call_per_world"],
+            "speedup": speedup,
+        },
+    )
+    assert speedup >= MIN_BLOCK_SPEEDUP, (
+        f"one call over {worlds} worlds is {speedup:.2f}x faster than one "
+        f"call per world, < {MIN_BLOCK_SPEEDUP}x at steps {steps}"
     )

@@ -26,22 +26,36 @@ How the numpy backend reproduces the python draws exactly:
   :func:`repro.rng.pick` of (world key, node, step), which the
   python sampler evaluates per cell and this kernel evaluates on
   broadcast ``uint64`` blocks — the same function, so the same bits.
+* **Blocks of worlds.** One pass samples up to ``_BLOCK_WORLDS``
+  worlds. Node ``x`` of the block's world ``w`` has the flat id
+  ``w * n + x`` and reverse-CSR edge ``p`` the flat id ``w * E + p``,
+  so each array expression below advances every world of the block.
+  A world keys only its own cells, so it is the same in any block.
 * **Rumor cascade.** ``record_cascade`` becomes one vectorized frontier
-  step per horizon step: every reached node with out-neighbors draws
-  its pick for the step at once, recording first arrivals and the first
-  event step into every node (which is exactly ``min_in_timestamp`` at
-  the bridge ends).
-* **Choice rows** are drawn lazily, exactly when the reverse traversal
-  first touches a node's in-row — one block expression for all the
-  missing rows of a relaxation level — so the drawn-row set (part of
-  the footprint) matches the python sampler's lazy set.
+  step per horizon step for the whole block: every reached node with
+  out-neighbors draws its pick for the step at once, recording first
+  arrivals and the first event step into every node (which is exactly
+  ``min_in_timestamp`` at the bridge ends).
+* **Choice rows** are drawn lazily, exactly when the reverse search
+  first relaxes one of a (world, tail)'s out-edges — one block
+  expression for all the missing rows of a relaxation level — so the
+  drawn-row set (part of the footprint) matches the python sampler's
+  lazy set. Each drawn row sets its pick bits on its own out-edges,
+  one fancy-indexed ``|=`` per step column: rows own disjoint out-edge
+  ranges, so no position repeats within a column.
 * **Reverse max-slack search** runs as a bucketed integer Dijkstra over
-  an ``ends x nodes`` slack matrix: levels descend from the deadline,
-  each level relaxes all (end, node) pairs finalised at that slack in
-  one vectorized sweep (pick bitmasks dotted against powers of two;
-  the highest permitted set bit recovered through ``frexp``). The
+  an int8 slack matrix with one row per (world, at-risk end) of the
+  block, split into matrices of at most ``_BLOCK_CELLS`` cells: levels
+  descend from the deadline, each level relaxes all (row, node) pairs
+  finalised at that slack in one vectorized sweep (the highest
+  permitted pick bit of each in-edge recovered through ``frexp``). The
   fixpoint — and therefore membership and footprints — equals the
   per-end heap Dijkstra's.
+* **Packed results.** Members, offsets and footprints leave the block
+  as flat arrays, and each world's slices become its
+  :class:`~repro.sketch.rrset.WorldSample` through
+  :meth:`~repro.sketch.rrset.WorldSample.from_packed`, with no per-set
+  tuples.
 
 Deterministic DOAM needs no randomness: the backend vectorizes the
 forward BFS and the depth-bounded reverse balls, priming the sampler's
@@ -50,6 +64,7 @@ single-world cache so serve/refresh cache semantics are unchanged.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import BackendUnavailableError, KernelError
@@ -76,8 +91,13 @@ _AUTO_ORDER = ("numpy", "python")
 #: ``frexp`` highest-bit trick; beyond this the kernel defers to python.
 _MAX_FREXP_STEPS = 53
 
-#: Slack-matrix budget (ends-per-block x node_count cells).
+#: Slack-matrix budget (int8 cells: (world, end) rows x node_count).
 _BLOCK_CELLS = 4_000_000
+
+#: OPOAO worlds sampled together in one pass. Each world of a block
+#: holds a node-length and an edge-length array for the whole pass;
+#: eight worlds share each NumPy call's overhead at a few MB.
+_BLOCK_WORLDS = 8
 
 
 def _unique(np_mod, values):
@@ -114,58 +134,59 @@ class _GraphData:
         "in_indptr",
         "in_indices",
         "in_deg",
-        "in_heads",
+        "out_to_in",
     )
 
 
-class _RowTable:
-    """Lazily drawn choice rows, packed node -> row of neighbor picks."""
+class _ChoiceBits:
+    """The choice tables of a block of worlds, as per-edge pick bits.
 
-    __slots__ = ("_np", "_data", "_key", "_steps", "table", "position", "count")
+    Bit ``t - 1`` of ``masks[w * E + p]`` is set when, in the block's
+    world ``w``, the tail of reverse-CSR edge ``p`` picks that edge's
+    head at step ``t``. A (world, tail) row is drawn when the search
+    first relaxes one of the tail's out-edges, so the drawn rows are
+    the python sampler's lazy set, and each drawn row scatters its bits
+    straight onto its own out-edges.
+    """
 
-    def __init__(self, np_mod, data: _GraphData, steps: int, key: int) -> None:
+    __slots__ = ("_np", "_data", "_keys", "_steps", "drawn", "masks")
+
+    def __init__(self, np_mod, data: _GraphData, steps: int, keys) -> None:
         self._np = np_mod
         self._data = data
-        self._key = key
+        self._keys = keys
         self._steps = np_mod.arange(1, steps + 1, dtype=np_mod.uint64)
-        self.table = np_mod.empty((0, steps), dtype=np_mod.int64)
-        self.position = np_mod.full(data.node_count, -1, dtype=np_mod.int64)
-        self.count = 0
+        self.drawn = np_mod.zeros(len(keys) * data.node_count, dtype=bool)
+        self.masks = np_mod.zeros(
+            len(keys) * len(data.in_indices), dtype=np_mod.int64
+        )
 
-    def ensure(self, nodes) -> None:
-        """Draw, in one block, the rows of the unique ``nodes`` lacking one."""
+    def ensure(self, flat_tails) -> None:
+        """Draw, in one block, the rows of the ``w * n + tail`` ids lacking one."""
         np_mod = self._np
-        missing = nodes[self.position[nodes] < 0]
+        missing = flat_tails[~self.drawn[flat_tails]]
         if missing.size == 0:
             return
-        needed = self.count + int(missing.size)
-        if needed > len(self.table):
-            capacity = max(256, 2 * len(self.table))
-            while capacity < needed:
-                capacity *= 2
-            grown = np_mod.empty(
-                (capacity, self.table.shape[1]), dtype=np_mod.int64
-            )
-            grown[: self.count] = self.table[: self.count]
-            self.table = grown
+        missing = _unique(np_mod, missing)
+        self.drawn[missing] = True
         data = self._data
+        world = missing // data.node_count
+        tails = missing - world * data.node_count
         picks = pick(
-            self._key,
-            missing.astype(np_mod.uint64)[:, None],
+            self._keys[world][:, None],
+            tails.astype(np_mod.uint64)[:, None],
             self._steps,
-            data.out_deg[missing].astype(np_mod.uint64)[:, None],
+            data.out_deg[tails].astype(np_mod.uint64)[:, None],
         )
-        self.table[self.count : needed] = data.indices[
-            data.indptr[missing][:, None] + picks.astype(np_mod.int64)
+        edges = data.out_to_in[
+            data.indptr[tails][:, None] + picks.astype(np_mod.int64)
         ]
-        self.position[missing] = np_mod.arange(self.count, needed)
-        self.count = needed
-
-    def rows_for(self, tails):
-        return self.table[self.position[tails]]
-
-    def drawn_nodes(self):
-        return self._np.nonzero(self.position >= 0)[0]
+        edges += (world * len(data.in_indices))[:, None]
+        # Rows own disjoint out-edge ranges, so no position repeats
+        # within a step column and a fancy-indexed ``|=`` is exact.
+        masks = self.masks
+        for column in range(edges.shape[1]):
+            masks[edges[:, column]] |= 1 << column
 
 
 class NumpySketchKernel:
@@ -202,15 +223,14 @@ class NumpySketchKernel:
         )
         order = np_mod.argsort(data.indices, kind="stable")
         data.in_indices = edge_tails[order]
+        # Reverse-CSR position of every out-CSR edge position.
+        data.out_to_in = np_mod.empty_like(order)
+        data.out_to_in[order] = np_mod.arange(len(order))
         in_counts = np_mod.bincount(data.indices, minlength=node_count)
         data.in_indptr = np_mod.concatenate(
             (np_mod.zeros(1, dtype=np_mod.int64), np_mod.cumsum(in_counts))
         )
         data.in_deg = np_mod.diff(data.in_indptr)
-        # Head node of every reverse-CSR edge position (for mask filling).
-        data.in_heads = np_mod.repeat(
-            np_mod.arange(node_count, dtype=np_mod.int64), data.in_deg
-        )
         if len(self._graphs) >= 4:  # tiny LRU: serve holds few live graphs
             self._graphs.pop(next(iter(self._graphs)))
         self._graphs[id(csr)] = data
@@ -224,81 +244,79 @@ class NumpySketchKernel:
 
     # -- OPOAO -------------------------------------------------------------------
 
-    def _rumor_cascade(self, sampler, data: _GraphData, key: int):
-        """Vectorized :func:`repro.diffusion.timestamps.record_cascade`.
+    def _rumor_cascade(self, sampler, data: _GraphData, keys):
+        """Vectorized :func:`repro.diffusion.timestamps.record_cascade`
+        for a block of worlds, one rumor key each.
 
-        Only per-node minima matter downstream: the first arrival step
-        (which fixes each step's drawing snapshot) and the first event
-        step into a node (the min preserved in-timestamp at that node).
-        Every node reached before a step with out-neighbors draws its
-        pick for that step; picks are independent cells of the rule, so
-        one array expression per step replaces the recorder's loop.
-        """
-        np_mod = self._np
-        arrival = np_mod.full(data.node_count, -1, dtype=np_mod.int64)
-        first_event = np_mod.full(data.node_count, -1, dtype=np_mod.int64)
-        reached = np_mod.array(sampler.rumor_ids, dtype=np_mod.int64)
-        arrival[reached] = 0
-        indptr, indices, out_deg = data.indptr, data.indices, data.out_deg
-        active = reached[out_deg[reached] > 0]
-        for step in range(1, sampler.steps + 1):
-            if active.size == 0:
-                break  # no node can ever draw again
-            picks = pick(
-                key,
-                active.astype(np_mod.uint64),
-                step,
-                out_deg[active].astype(np_mod.uint64),
-            )
-            heads = indices[indptr[active] + picks.astype(np_mod.int64)]
-            first_event[heads[first_event[heads] < 0]] = step
-            fresh = _unique(np_mod, heads[arrival[heads] < 0])
-            if fresh.size:
-                arrival[fresh] = step
-                active = np_mod.concatenate((active, fresh[out_deg[fresh] > 0]))
-        return arrival, first_event
-
-    def _relax_block(
-        self,
-        data: _GraphData,
-        steps: int,
-        block: List[Tuple[int, int]],
-        row_table: _RowTable,
-        edge_masks,
-        edge_done,
-    ):
-        """Bucketed integer Dijkstra over the block's slack matrix.
-
-        ``S[e, x]`` is the latest arrival step at ``x`` that still relays
-        to the block's ``e``-th end by its deadline. Levels descend, so
-        each (end, node) pair is expanded exactly once, at its final
-        slack — matching the per-end heap Dijkstra's pop set, and in
-        particular drawing choice rows for exactly the same tails.
-
-        ``edge_masks``/``edge_done`` cache the pick bitmask per
-        reverse-CSR edge position across ends and blocks of one world
-        (the mask depends only on the tail's row and the head), so each
-        edge's row comparison runs once per world, not once per end.
+        Node ``x`` of the block's world ``w`` has the flat id
+        ``w * n + x``. Only per-node facts matter downstream: whether
+        the rumor reaches a node (its out-row drives the cascade) and
+        the first event step into it (the min preserved in-timestamp at
+        the bridge ends). Every node reached before a step with
+        out-neighbors draws its pick for that step; picks are
+        independent cells of the rule, so one array expression per step
+        advances every world of the block.
         """
         np_mod = self._np
         node_count = data.node_count
-        slack = np_mod.full((len(block), node_count), -1, dtype=np_mod.int64)
-        flat = slack.ravel()
-        top = max(deadline for _end, deadline in block)
-        buckets: List[List[Any]] = [[] for _ in range(top + 1)]
-        for position, (end, deadline) in enumerate(block):
-            slack[position, end] = deadline
-            buckets[deadline].append(
-                np_mod.array([position * node_count + end], dtype=np_mod.int64)
+        indptr, indices, out_deg = data.indptr, data.indices, data.out_deg
+        reached = np_mod.zeros(len(keys) * node_count, dtype=bool)
+        first_event = np_mod.full(len(keys) * node_count, -1, dtype=np_mod.int8)
+        seeds = np_mod.array(sampler.rumor_ids, dtype=np_mod.int64)
+        active = (
+            np_mod.arange(len(keys), dtype=np_mod.int64)[:, None] * node_count
+            + seeds
+        ).ravel()
+        reached[active] = True
+        active = active[np_mod.tile(out_deg[seeds] > 0, len(keys))]
+        for step in range(1, sampler.steps + 1):
+            if active.size == 0:
+                break  # no node can ever draw again
+            world = active // node_count
+            base = world * node_count
+            nodes = active - base
+            picks = pick(
+                keys[world],
+                nodes.astype(np_mod.uint64),
+                step,
+                out_deg[nodes].astype(np_mod.uint64),
             )
-        pow2 = np_mod.left_shift(
-            np_mod.int64(1), np_mod.arange(steps, dtype=np_mod.int64)
-        )
+            heads = indices[indptr[nodes] + picks.astype(np_mod.int64)] + base
+            first_event[heads[first_event[heads] < 0]] = step
+            fresh = _unique(np_mod, heads[~reached[heads]])
+            if fresh.size:
+                reached[fresh] = True
+                movers = out_deg[fresh % node_count] > 0
+                active = np_mod.concatenate((active, fresh[movers]))
+        return reached, first_event
+
+    def _max_slack(self, data: _GraphData, worlds, ends, deadlines, bits: _ChoiceBits):
+        """Bucketed integer Dijkstra over one int8 slack matrix.
+
+        Row ``r`` searches from the block's world ``worlds[r]`` and its
+        bridge end ``ends[r]``: ``S[r, x]`` is the latest arrival step
+        at ``x`` that still relays to that end by ``deadlines[r]``.
+        Levels descend, so each (row, node) pair is expanded exactly
+        once, at its final slack — the per-end heap Dijkstra's pop set,
+        which relaxes (and draws rows for) the same tails. One level
+        relaxes every row of the matrix in one sweep.
+        """
+        np_mod = self._np
+        node_count = data.node_count
+        edge_count = len(data.in_indices)
         in_indptr, in_indices, in_deg = (
             data.in_indptr,
             data.in_indices,
             data.in_deg,
         )
+        slack = np_mod.full((len(ends), node_count), -1, dtype=np_mod.int8)
+        flat = slack.ravel()
+        starts = np_mod.arange(len(ends), dtype=np_mod.int64) * node_count + ends
+        flat[starts] = deadlines
+        top = int(deadlines.max())
+        buckets: List[List[Any]] = [[] for _ in range(top + 1)]
+        for value in _unique(np_mod, deadlines).tolist():
+            buckets[value].append(starts[deadlines == value])
         for level in range(top, 0, -1):
             entries = buckets[level]
             if not entries:
@@ -308,7 +326,9 @@ class NumpySketchKernel:
             if keys.size == 0:
                 continue
             keys = _unique(np_mod, keys)
-            nodes = keys % node_count
+            rows = keys // node_count
+            row_base = rows * node_count
+            nodes = keys - row_base
             counts = in_deg[nodes]
             total = int(counts.sum())
             if total == 0:
@@ -317,24 +337,21 @@ class NumpySketchKernel:
                 np_mod, in_indptr[nodes], counts, total
             )
             tails = in_indices[positions]
-            fresh = positions[~edge_done[positions]]
-            if fresh.size:
-                fresh = _unique(np_mod, fresh)
-                fresh_tails = in_indices[fresh]
-                row_table.ensure(_unique(np_mod, fresh_tails))
-                rows = row_table.rows_for(fresh_tails)
-                # Bit t-1 set <=> the tail picks this head at step t.
-                edge_masks[fresh] = (
-                    (rows == data.in_heads[fresh][:, None]) * pow2
-                ).sum(axis=1)
-                edge_done[fresh] = True
-            end_base = np_mod.repeat(keys - nodes, counts)  # end row * n
-            # The highest set bit at or below min(level, steps) is the
-            # latest usable pick; its index is the candidate slack.
-            allowed = edge_masks[positions] & ((1 << min(level, steps)) - 1)
-            _mant, exponents = np_mod.frexp(allowed.astype(np_mod.float64))
-            candidates = exponents.astype(np_mod.int64) - 1
-            targets = end_base + tails
+            world = np_mod.repeat(worlds[rows], counts)
+            bits.ensure(world * node_count + tails)
+            world *= edge_count
+            world += positions  # now the block's flat edge ids
+            # Bits of steps 1..level (a level never passes the horizon):
+            # the highest set one is the latest usable pick, and its index
+            # is the candidate slack. In-place steps keep a level's arrays
+            # few, since one level spans every row of the matrix.
+            allowed = bits.masks[world]
+            allowed &= (1 << level) - 1
+            floats = allowed.astype(np_mod.float64)
+            _mant, exponents = np_mod.frexp(floats, out=(floats, None))
+            candidates = exponents.astype(np_mod.int8) - 1
+            targets = np_mod.repeat(row_base, counts)
+            targets += tails
             improved = candidates > flat[targets]
             if not improved.any():
                 continue
@@ -345,41 +362,82 @@ class NumpySketchKernel:
                 buckets[value].append(targets[final == value])
         return slack
 
-    def _opoao_world(self, sampler, data: _GraphData, index: int) -> WorldSample:
+    def _opoao_block(
+        self, sampler, data: _GraphData, block: List[int]
+    ) -> List[WorldSample]:
+        """The worlds of ``block`` (replica indices), sampled together."""
         np_mod = self._np
-        rumor_key, choices_key = world_keys(sampler.rng.seed, index)
-        arrival, first_event = self._rumor_cascade(sampler, data, rumor_key)
-        at_risk = [
-            (end, int(first_event[end]))
-            for end in sampler.end_ids
-            if first_event[end] >= 0
-        ]
-        row_table = _RowTable(np_mod, data, sampler.steps, choices_key)
-        rr_sets: List[Tuple[int, Tuple[int, ...]]] = []
-        if at_risk:
-            edge_count = len(data.in_indices)
-            edge_masks = np_mod.zeros(edge_count, dtype=np_mod.int64)
-            edge_done = np_mod.zeros(edge_count, dtype=bool)
-            block_size = max(1, _BLOCK_CELLS // max(data.node_count, 1))
-            for start in range(0, len(at_risk), block_size):
-                block = at_risk[start : start + block_size]
-                slack = self._relax_block(
-                    data,
-                    sampler.steps,
-                    block,
-                    row_table,
-                    edge_masks,
-                    edge_done,
+        node_count = data.node_count
+        keys = [world_keys(sampler.rng.seed, index) for index in block]
+        reached, first_event = self._rumor_cascade(
+            sampler,
+            data,
+            np_mod.array([rumor for rumor, _ in keys], dtype=np_mod.uint64),
+        )
+        bits = _ChoiceBits(
+            np_mod,
+            data,
+            sampler.steps,
+            np_mod.array([choices for _, choices in keys], dtype=np_mod.uint64),
+        )
+        end_ids = np_mod.array(sampler.end_ids, dtype=np_mod.int64)
+        deadlines = first_event.reshape(len(block), node_count)[:, end_ids]
+        # One row per (world, at-risk end), world-major with ends ascending:
+        # the order of each world's rr_sets.
+        row_world, end_column = np_mod.nonzero(deadlines >= 0)
+        row_deadline = deadlines[row_world, end_column]
+        row_end = end_ids[end_column]
+        set_of = [np_mod.zeros(0, dtype=np_mod.int64)]
+        members = [np_mod.zeros(0, dtype=np_mod.int64)]
+        rows_per_slack = max(1, _BLOCK_CELLS // max(node_count, 1))
+        for start in range(0, len(row_end), rows_per_slack):
+            stop = start + rows_per_slack
+            slack = self._max_slack(
+                data,
+                row_world[start:stop],
+                row_end[start:stop],
+                row_deadline[start:stop],
+                bits,
+            )
+            rows, nodes = np_mod.nonzero(slack >= 0)
+            set_of.append(rows + start)
+            members.append(nodes)
+        set_ids = np_mod.concatenate(set_of)
+        member_ids = np_mod.concatenate(members)
+        offsets = np_mod.zeros(len(row_end) + 1, dtype=np_mod.longlong)
+        np_mod.cumsum(
+            np_mod.bincount(set_ids, minlength=len(row_end)), out=offsets[1:]
+        )
+        footprint = reached | bits.drawn
+        footprint[row_world[set_ids] * node_count + member_ids] = True
+        footprint = footprint.reshape(len(block), node_count)
+        footprint[:, end_ids] = True
+        foot_world, foot_nodes = np_mod.nonzero(footprint)
+        bounds = np_mod.arange(len(block) + 1)
+        row_bounds = np_mod.searchsorted(row_world, bounds).tolist()
+        foot_bounds = np_mod.searchsorted(foot_world, bounds).tolist()
+        roots = row_end.astype(np_mod.intc)
+        member_ids = member_ids.astype(np_mod.intc)
+        foot_nodes = foot_nodes.astype(np_mod.intc)
+        samples: List[WorldSample] = []
+        for position, index in enumerate(block):
+            lo, hi = row_bounds[position], row_bounds[position + 1]
+            first, last = int(offsets[lo]), int(offsets[hi])
+            samples.append(
+                WorldSample.from_packed(
+                    index,
+                    array("i", roots[lo:hi].tobytes()),
+                    array("q", (offsets[lo : hi + 1] - first).tobytes()),
+                    array("i", member_ids[first:last].tobytes()),
+                    array(
+                        "i",
+                        foot_nodes[
+                            foot_bounds[position] : foot_bounds[position + 1]
+                        ].tobytes(),
+                    ),
                 )
-                for position, (end, _deadline) in enumerate(block):
-                    members = np_mod.nonzero(slack[position] >= 0)[0]
-                    rr_sets.append((end, tuple(members.tolist())))
-        footprint = set(np_mod.nonzero(arrival >= 0)[0].tolist())
-        footprint.update(row_table.drawn_nodes().tolist())
-        footprint.update(sampler.end_ids)
-        for _end, members in rr_sets:
-            footprint.update(members)
-        return WorldSample(index, rr_sets, footprint=sorted(footprint))
+            )
+        return samples
 
     # -- DOAM --------------------------------------------------------------------
 
@@ -464,9 +522,11 @@ class NumpySketchKernel:
             and sampler.steps <= _MAX_FREXP_STEPS
         ):
             data = self._graph_data(sampler.graph)
-            return [
-                self._opoao_world(sampler, data, index) for index in index_list
-            ]
+            samples: List[WorldSample] = []
+            for start in range(0, len(index_list), _BLOCK_WORLDS):
+                block = index_list[start : start + _BLOCK_WORLDS]
+                samples.extend(self._opoao_block(sampler, data, block))
+            return samples
         return [sampler.sample_world(index) for index in index_list]
 
 

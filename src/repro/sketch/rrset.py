@@ -123,6 +123,25 @@ class WorldSample:
         )
         self._view: Optional[List[Tuple[int, Tuple[int, ...]]]] = None
 
+    @classmethod
+    def from_packed(
+        cls,
+        index: int,
+        roots: array,
+        offsets: array,
+        members: array,
+        footprint: Optional[array],
+    ) -> "WorldSample":
+        """A world from arrays already in :meth:`packed` form.
+
+        ``roots``, ``members`` and ``footprint`` are ``array("i")``
+        (``footprint`` sorted, or ``None``), ``offsets`` an
+        ``array("q")`` starting at 0; they are kept, not copied.
+        """
+        world = cls.__new__(cls)
+        world.__setstate__((index, roots, offsets, members, footprint))
+        return world
+
     @property
     def rr_sets(self) -> List[Tuple[int, Tuple[int, ...]]]:
         """``(root, members)`` tuples, materialised lazily from the arrays."""

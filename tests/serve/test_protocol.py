@@ -5,8 +5,6 @@ from __future__ import annotations
 import asyncio
 import json
 
-import pytest
-
 from repro.graph.generators import planted_partition
 from repro.rng import RngStream
 from repro.serve import (

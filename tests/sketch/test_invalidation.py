@@ -14,14 +14,23 @@ Property harness for the dynamic-graph path. The contract under test:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.compact import IndexedDiGraph
 from repro.graph.generators import erdos_renyi
 from repro.rng import RngStream
+from repro.sketch import kernels
 from repro.sketch.rrset import DOAMRRSampler, OPOAORRSampler
 from repro.sketch.store import SketchStore
+
+try:
+    import numpy  # noqa: F401
+
+    HAVE_NUMPY = True
+except ImportError:  # pragma: no cover - the no-NumPy CI job
+    HAVE_NUMPY = False
 
 NODES = 40
 RUMOR = [0, 1]
@@ -126,6 +135,27 @@ class TestRefreshBitIdentity:
         store.refresh(touched)
         store.ensure_worlds(16)
         assert_stores_identical(store, opoao_store(graph, worlds=16))
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+    def test_numpy_refresh_of_more_stale_worlds_than_one_block(self):
+        """The numpy kernel resamples the stale worlds in several blocks."""
+        graph = build_graph()
+        worlds = 3 * kernels._BLOCK_WORLDS
+
+        def store(backend):
+            sampler = OPOAORRSampler(
+                graph, RUMOR, ENDS, steps=8, rng=RngStream(42)
+            )
+            return SketchStore(sampler, backend=backend).ensure_worlds(worlds)
+
+        refreshed = store("numpy")
+        # Every world's footprint holds the rumor seeds, so all go stale.
+        seed = RUMOR[0]
+        touched = graph.apply_updates([], [(seed, graph.out[seed][0])])
+        stale, _sets = refreshed.refresh(touched)
+        assert stale == worlds
+        assert_stores_identical(refreshed, store("numpy"))
+        assert_stores_identical(refreshed, store("python"))
 
     def test_doam_refresh_equals_from_scratch(self):
         graph = build_graph(9)

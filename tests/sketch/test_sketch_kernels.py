@@ -129,6 +129,87 @@ class TestOPOAODifferential:
         assert_worlds_identical(reference, vectorized)
 
 
+@needs_numpy
+class TestOPOAOBlocks:
+    """A world does not depend on the block it is sampled in.
+
+    The numpy kernel samples up to ``_BLOCK_WORLDS`` worlds per pass
+    and splits the (world, end) rows of a pass into slack matrices of
+    at most ``_BLOCK_CELLS`` cells; neither cut may change a world.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        graph_seed=st.integers(min_value=0, max_value=50),
+        density=st.sampled_from([0.05, 0.1, 0.2]),
+        rng_seed=st.integers(min_value=0, max_value=10_000),
+        steps=st.sampled_from([1, 2, 4, 8, 53]),
+        indices=st.lists(
+            st.integers(min_value=0, max_value=15), min_size=1, max_size=20
+        ),
+    )
+    def test_one_call_equals_each_index_alone(
+        self, graph_seed, density, rng_seed, steps, indices
+    ):
+        """Out-of-order, repeated indices in one call == one call each."""
+        graph = build_graph(graph_seed, density)
+        sampler = OPOAORRSampler(
+            graph, RUMOR, ENDS, steps=steps, rng=RngStream(rng_seed)
+        )
+        numpy_kernel = resolve_sketch_backend("numpy")
+        together = numpy_kernel.sample(sampler, indices)
+        alone = [numpy_kernel.sample(sampler, [index])[0] for index in indices]
+        reference = [sampler.sample_world(index) for index in indices]
+        assert_worlds_identical(alone, together)
+        assert_worlds_identical(reference, together)
+
+    @pytest.mark.parametrize("block_worlds", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [3, 8])
+    def test_blocks_that_break_mid_call(self, monkeypatch, block_worlds, steps):
+        monkeypatch.setattr(kernels, "_BLOCK_WORLDS", block_worlds)
+        graph = build_graph(11, 0.15)
+        sampler = OPOAORRSampler(graph, RUMOR, ENDS, steps=steps, rng=RngStream(5))
+        indices = [7, 2, 9, 2, 0, 4, 11]
+        vectorized = resolve_sketch_backend("numpy").sample(sampler, indices)
+        reference = [sampler.sample_world(index) for index in indices]
+        assert_worlds_identical(reference, vectorized)
+        assert sum(len(world.rr_sets) for world in reference) > len(indices)
+
+    @pytest.mark.parametrize("rows_per_slack", [1, 3])
+    def test_rows_of_one_world_split_across_slack_matrices(
+        self, monkeypatch, rows_per_slack
+    ):
+        """A slack matrix smaller than one world's rows: worlds split."""
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", rows_per_slack * NODES)
+        graph = build_graph(11, 0.15)
+        sampler = OPOAORRSampler(graph, RUMOR, ENDS, steps=8, rng=RngStream(5))
+        indices = list(range(10))
+        reference = [sampler.sample_world(index) for index in indices]
+        assert max(len(world.rr_sets) for world in reference) > rows_per_slack
+        vectorized = resolve_sketch_backend("numpy").sample(sampler, indices)
+        assert_worlds_identical(reference, vectorized)
+
+    def test_block_with_a_world_that_has_no_at_risk_end(self):
+        """Some worlds' rumor misses every end; their neighbours' do not."""
+        # The rumor at 0 reaches the end 1 at step 1 or wanders off to 2.
+        out = [[1, 2], [3], [3], [0]]
+        inn = [[3], [0], [0], [1, 2]]
+        graph = IndexedDiGraph(list(range(4)), out, inn)
+        sampler = OPOAORRSampler(graph, [0], [1], steps=1, rng=RngStream(4))
+        reference = [sampler.sample_world(index) for index in range(8)]
+        assert any(world.rr_sets for world in reference)
+        assert any(not world.rr_sets for world in reference)
+        vectorized = resolve_sketch_backend("numpy").sample(sampler, range(8))
+        assert_worlds_identical(reference, vectorized)
+
+    def test_no_bridge_ends(self):
+        graph = build_graph(3)
+        sampler = OPOAORRSampler(graph, RUMOR, [], steps=4, rng=RngStream(2))
+        vectorized = resolve_sketch_backend("numpy").sample(sampler, range(3))
+        reference = [sampler.sample_world(index) for index in range(3)]
+        assert_worlds_identical(reference, vectorized)
+
+
 def _bfs_distances(adjacency, sources):
     """Exact hop distances from ``sources`` over an adjacency list."""
     distance = {node: 0 for node in sources}
