@@ -46,6 +46,7 @@ __all__ = [
     "DiffusionOutcome",
     "DiffusionModel",
     "DEFAULT_MAX_HOPS",
+    "seeded_start",
 ]
 
 #: Node states. Small ints rather than an Enum: the simulators index state
@@ -182,6 +183,19 @@ class SeedSets(CascadeSet):
         return f"SeedSets(|R|={len(self.rumors)}, |P|={len(self.protectors)})"
 
 
+def seeded_start(node_count: int, seeds: CascadeSet) -> Tuple[List[int], HopTrace]:
+    """The seeded state row (cascade ``k`` -> state ``k + 1``) and a trace
+    whose hop 0 holds each cascade's sorted seeds (common property 1)."""
+    states = [INACTIVE] * node_count
+    for index, cascade in enumerate(seeds.cascades):
+        state = index + 1
+        for node in cascade:
+            states[node] = state
+    trace = HopTrace(cascade_count=seeds.cascade_count)
+    trace.record_cascades([sorted(cascade) for cascade in seeds.cascades])
+    return states, trace
+
+
 class DiffusionOutcome:
     """Final state of one diffusion run.
 
@@ -243,9 +257,9 @@ class DiffusionModel(abc.ABC):
     """Base class for competitive K-cascade diffusion models.
 
     Subclasses implement :meth:`_spread`, receiving pre-validated inputs
-    and a pre-seeded state array; the template method :meth:`run` handles
-    validation and seeding so every model enforces the common Section III
-    properties identically.
+    and the state array and trace from :func:`seeded_start`; the template
+    method :meth:`run` handles validation and seeding so every model
+    enforces the common Section III properties identically.
     """
 
     #: human-readable name used in reports.
@@ -277,13 +291,7 @@ class DiffusionModel(abc.ABC):
         seeds.validate_against(graph)
         if self.stochastic and rng is None:
             raise ValueError(f"{self.name} is stochastic and needs an RngStream")
-        states = [INACTIVE] * graph.node_count
-        for index, cascade in enumerate(seeds.cascades):
-            state = index + 1
-            for node in cascade:
-                states[node] = state
-        trace = HopTrace(cascade_count=seeds.cascade_count)
-        trace.record_cascades([sorted(cascade) for cascade in seeds.cascades])
+        states, trace = seeded_start(graph.node_count, seeds)
         self._spread(graph, states, seeds, trace, rng, max_hops)
         outcome = DiffusionOutcome(states, trace)
         registry = metrics()

@@ -18,28 +18,51 @@ Mechanics:
   property 2 (**P wins**) for K=2.
 * Progressive activation.
 
-RNG consumption order is part of the engine's bit-identity contract:
-fronts run their trials in priority order, and a trial is only drawn for
-a neighbor that is inactive and not already claimed by an
-earlier-priority cascade this hop — exactly the pre-refactor two-cascade
-sequence when K=2.
+The race is DOAM's :func:`~repro.diffusion.doam.bfs_race` with a
+live-edge test that flips each edge's coin on the run's stream when the
+race asks for it. RNG consumption order is part of the engine's
+bit-identity contract: fronts run their trials in priority order, and a
+trial is only drawn for a neighbor that is inactive and not already
+claimed by an earlier-priority cascade this hop — exactly the
+pre-refactor two-cascade sequence when K=2.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional, Sequence
 
-from repro.diffusion.base import (
-    INACTIVE,
-    CascadeSet,
-    DiffusionModel,
-)
+from repro.diffusion.base import CascadeSet, DiffusionModel
+from repro.diffusion.doam import bfs_race
 from repro.diffusion.trace import HopTrace
 from repro.graph.compact import IndexedDiGraph
 from repro.rng import RngStream
 from repro.utils.validation import check_probability
 
 __all__ = ["CompetitiveICModel"]
+
+
+class _Coins:
+    """Per-run IC's live-edge test: ``coins[edge]`` flips the coin of the
+    edge at that CSR position on the run's stream."""
+
+    __slots__ = ("_random", "_probability", "_weights")
+
+    def __init__(
+        self, rng: RngStream, probability: Optional[float], weights: Sequence[float]
+    ) -> None:
+        self._random = rng.random
+        self._probability = probability
+        self._weights = weights
+
+    def __getitem__(self, edge: int) -> bool:
+        probability = self._probability
+        if probability is None:
+            probability = self._weights[edge]
+            if not 0.0 <= probability <= 1.0:
+                raise ValueError(
+                    f"weighted IC needs edge weights in [0, 1]; got {probability!r}"
+                )
+        return self._random() < probability
 
 
 class CompetitiveICModel(DiffusionModel):
@@ -71,51 +94,9 @@ class CompetitiveICModel(DiffusionModel):
         max_hops: int,
     ) -> None:
         assert rng is not None
-        out = graph.out
-        weights = graph.out_weights
-        fixed_p = self.probability
-
-        def edge_probability(node: int, position: int) -> float:
-            if fixed_p is not None:
-                return fixed_p
-            weight = weights[node][position]
-            if not 0.0 <= weight <= 1.0:
-                raise ValueError(
-                    f"weighted IC needs edge weights in [0, 1]; got {weight!r}"
-                )
-            return weight
-
-        order = seeds.priority
-        fronts: List[List[int]] = [sorted(cascade) for cascade in seeds.cascades]
-
-        for _hop in range(max_hops):
-            if not any(fronts):
-                break
-            targets: List[Set[int]] = [set() for _ in fronts]
-            claimed: Set[int] = set()
-            for cascade in order:
-                chosen = targets[cascade]
-                for node in fronts[cascade]:
-                    for position, neighbor in enumerate(out[node]):
-                        if (
-                            states[neighbor] == INACTIVE
-                            and neighbor not in claimed
-                            and rng.random() < edge_probability(node, position)
-                        ):
-                            chosen.add(neighbor)
-                claimed |= chosen
-
-            if not claimed:
-                break  # fronts alive but no successful trials left
-            news: List[List[int]] = []
-            for cascade, chosen in enumerate(targets):
-                new = sorted(chosen)
-                state = cascade + 1
-                for node in new:
-                    states[node] = state
-                news.append(new)
-            trace.record_cascades(news)
-            fronts = news
+        weights = graph.csr().weights if self.probability is None else ()
+        coins = _Coins(rng, self.probability, weights)
+        bfs_race(graph, states, seeds, trace, max_hops, coins)
 
     def __repr__(self) -> str:
         return f"CompetitiveICModel(probability={self.probability})"

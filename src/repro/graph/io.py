@@ -1,12 +1,10 @@
-"""Graph persistence: edge lists, JSON, and community sidecars.
+"""Graph persistence: edge lists and community sidecars.
 
 Formats
 -------
 * **Edge list** (``.edges``): one ``tail head`` pair per line, ``#``
   comments allowed — the format SNAP distributes the paper's datasets in,
   so a user with the real Enron/Hep files can load them directly.
-* **JSON** (``.json``): ``{"name", "nodes", "edges"}`` with explicit
-  isolated nodes — lossless round-trip including weights.
 * **Community file** (``.communities``): ``node community_id`` per line, a
   sidecar for :class:`repro.community.structure.CommunityStructure`.
 
@@ -16,7 +14,6 @@ formats are strings unless ``node_type`` converts them.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Callable, Dict, IO, Union
 
@@ -26,8 +23,6 @@ from repro.graph.digraph import DiGraph
 __all__ = [
     "write_edge_list",
     "read_edge_list",
-    "write_json",
-    "read_json",
     "write_communities",
     "read_communities",
 ]
@@ -94,42 +89,6 @@ def read_edge_list(
             except (TypeError, ValueError) as exc:
                 raise DatasetError(f"line {line_number}: bad node token ({exc})")
             graph.add_edge(tail, head)
-    return graph
-
-
-def write_json(graph: DiGraph, target: PathOrHandle) -> None:
-    """Write a lossless JSON document (nodes, weighted edges, name)."""
-    document = {
-        "name": graph.name,
-        "nodes": list(graph.nodes()),
-        "edges": [[tail, head, weight] for tail, head, weight in graph.weighted_edges()],
-    }
-    with _Opened(target, "w") as handle:
-        json.dump(document, handle)
-
-
-def read_json(source: PathOrHandle) -> DiGraph:
-    """Read a graph written by :func:`write_json`."""
-    with _Opened(source, "r") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"invalid graph JSON: {exc}") from exc
-    for key in ("name", "nodes", "edges"):
-        if key not in document:
-            raise DatasetError(f"graph JSON missing key {key!r}")
-    graph = DiGraph(name=document["name"])
-    # JSON keys/labels survive as-is; lists (from tuples) become lists, so
-    # labels must be scalars — enforced here.
-    for node in document["nodes"]:
-        if isinstance(node, (list, dict)):
-            raise DatasetError(f"non-scalar node label in JSON: {node!r}")
-        graph.add_node(node)
-    for entry in document["edges"]:
-        if len(entry) != 3:
-            raise DatasetError(f"bad edge entry in JSON: {entry!r}")
-        tail, head, weight = entry
-        graph.add_edge(tail, head, float(weight))
     return graph
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "average_degree",
     "density",
     "reciprocity",
-    "local_clustering",
     "GraphSummary",
     "summarize",
 ]
@@ -48,27 +47,6 @@ def reciprocity(graph: DiGraph) -> float:
         return 0.0
     mutual = sum(1 for tail, head in graph.edges() if graph.has_edge(head, tail))
     return mutual / graph.edge_count
-
-
-def local_clustering(graph: DiGraph, node) -> float:
-    """Undirected local clustering coefficient of ``node``.
-
-    Neighborhoods are symmetrised (a neighbor is any node connected in
-    either direction); the coefficient is the fraction of neighbor pairs
-    connected by at least one directed edge.
-    """
-    neighbors = set(graph.successors(node)) | set(graph.predecessors(node))
-    neighbors.discard(node)
-    k = len(neighbors)
-    if k < 2:
-        return 0.0
-    neighbor_list = list(neighbors)
-    links = 0
-    for i, u in enumerate(neighbor_list):
-        for v in neighbor_list[i + 1 :]:
-            if graph.has_edge(u, v) or graph.has_edge(v, u):
-                links += 1
-    return 2.0 * links / (k * (k - 1))
 
 
 @dataclass(frozen=True)

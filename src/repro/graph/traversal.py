@@ -23,7 +23,6 @@ __all__ = [
     "bfs_distances",
     "bfs_tree",
     "multi_source_distances",
-    "reachable_set",
     "shortest_hop_distance",
 ]
 
@@ -131,18 +130,6 @@ def bfs_tree(
                 parents[neighbor] = node
                 queue.append((neighbor, depth + 1))
     return parents
-
-
-def reachable_set(
-    graph: DiGraph,
-    sources: Iterable[Node],
-    reverse: bool = False,
-    max_depth: Optional[int] = None,
-) -> Set[Node]:
-    """All nodes reachable from ``sources`` (sources included)."""
-    return set(
-        multi_source_distances(graph, sources, reverse=reverse, max_depth=max_depth)
-    )
 
 
 def shortest_hop_distance(graph: DiGraph, source: Node, target: Node) -> Optional[int]:

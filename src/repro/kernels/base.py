@@ -233,12 +233,3 @@ class KernelBackend(abc.ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
-
-def seeded_states(node_count: int, seeds: CascadeSet) -> List[int]:
-    """One world's initial state row (cascade ``k`` seeds -> state ``k+1``)."""
-    states = [0] * node_count
-    for index, cascade in enumerate(seeds.cascades):
-        state = index + 1
-        for node in cascade:
-            states[node] = state
-    return states

@@ -9,10 +9,8 @@ from repro.graph.digraph import DiGraph
 from repro.graph.io import (
     read_communities,
     read_edge_list,
-    read_json,
     write_communities,
     write_edge_list,
-    write_json,
 )
 
 
@@ -50,37 +48,6 @@ class TestEdgeList:
         write_edge_list(g, path)
         loaded = read_edge_list(path)
         assert not loaded.has_node(9)
-
-
-class TestJson:
-    def test_round_trip_preserves_everything(self, tmp_path):
-        g = DiGraph(name="demo")
-        g.add_edge(1, 2, weight=2.5)
-        g.add_node(9)  # isolated
-        path = tmp_path / "g.json"
-        write_json(g, path)
-        loaded = read_json(path)
-        assert loaded.name == "demo"
-        assert loaded.has_node(9)
-        assert loaded.edge_weight(1, 2) == 2.5
-
-    def test_invalid_json_raises(self):
-        with pytest.raises(DatasetError):
-            read_json(io.StringIO("not json"))
-
-    def test_missing_key_raises(self):
-        with pytest.raises(DatasetError, match="missing key"):
-            read_json(io.StringIO('{"name": "x", "nodes": []}'))
-
-    def test_bad_edge_entry_raises(self):
-        doc = '{"name": "x", "nodes": [1, 2], "edges": [[1, 2]]}'
-        with pytest.raises(DatasetError, match="bad edge"):
-            read_json(io.StringIO(doc))
-
-    def test_non_scalar_node_rejected(self):
-        doc = '{"name": "x", "nodes": [[1, 2]], "edges": []}'
-        with pytest.raises(DatasetError, match="non-scalar"):
-            read_json(io.StringIO(doc))
 
 
 class TestCommunities:

@@ -6,7 +6,6 @@ from repro.graph.digraph import DiGraph
 from repro.graph.metrics import (
     average_degree,
     density,
-    local_clustering,
     reciprocity,
     summarize,
 )
@@ -38,19 +37,6 @@ class TestReciprocity:
 
     def test_empty(self):
         assert reciprocity(DiGraph()) == 0.0
-
-
-class TestClustering:
-    def test_triangle_clusters_fully(self):
-        g = DiGraph.from_edges([(0, 1), (1, 2), (2, 0)])
-        assert local_clustering(g, 0) == 1.0
-
-    def test_star_has_zero_clustering(self):
-        g = DiGraph.from_edges([(0, i) for i in range(1, 5)])
-        assert local_clustering(g, 0) == 0.0
-
-    def test_degree_below_two_is_zero(self, chain):
-        assert local_clustering(chain, 0) == 0.0
 
 
 class TestSummary:

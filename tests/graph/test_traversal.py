@@ -9,7 +9,6 @@ from repro.graph.traversal import (
     bfs_layers,
     bfs_tree,
     multi_source_distances,
-    reachable_set,
     shortest_hop_distance,
 )
 
@@ -94,9 +93,6 @@ class TestBfsTree:
 
 
 class TestReachability:
-    def test_reachable_set_includes_sources(self, chain):
-        assert reachable_set(chain, [3]) == {3, 4, 5}
-
     def test_shortest_hop_distance(self, diamond):
         assert shortest_hop_distance(diamond, "s", "t") == 2
         assert shortest_hop_distance(diamond, "t", "s") is None

@@ -10,7 +10,7 @@ fraction are equal on both backends too, not merely close.
 
 import pytest
 
-np = pytest.importorskip("numpy")
+np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.diffusion.base import SeedSets  # noqa: E402
 from repro.diffusion.doam import DOAMModel  # noqa: E402

@@ -8,6 +8,9 @@ from repro.diffusion.opoao import OPOAOModel
 from repro.diffusion.simulation import MonteCarloSimulator
 from repro.exec.pool import ParallelExecutor
 from repro.graph.digraph import DiGraph
+from repro.kernels.python_backend import PythonKernelBackend
+from repro.kernels.spec import KernelSpec
+from repro.kernels.worlds import sample_worlds
 from repro.obs import NULL_REGISTRY, MetricsRegistry, metrics, use_registry
 from repro.rng import RngStream
 
@@ -15,6 +18,20 @@ from repro.rng import RngStream
 @pytest.fixture
 def star():
     return DiGraph.from_edges([(0, i) for i in range(1, 12)])
+
+
+@pytest.fixture
+def ladder():
+    """Two 10-node chains joined by alternating rungs (19 + 10 edges)."""
+    edges = (
+        [(i, i + 1) for i in range(9)]
+        + [(10 + i, 11 + i) for i in range(9)]
+        + [(i, 10 + i) for i in range(0, 10, 2)]
+        + [(10 + i, i) for i in range(1, 10, 2)]
+    )
+    indexed = DiGraph.from_edges(edges).to_indexed()
+    seeds = SeedSets(rumors=[indexed.index(0)], protectors=[indexed.index(13)])
+    return indexed, seeds
 
 
 class TestSerialParallelEquality:
@@ -92,3 +109,49 @@ class TestNullDefaultNoOp:
         document = NULL_REGISTRY.to_dict()
         assert document["counters"] == {}
         assert document["timers"] == {}
+
+
+class TestExactWorkCounters:
+    """The exact work counters of each path on one small fixed graph."""
+
+    @pytest.mark.parametrize(
+        "max_hops, node_visits, edge_visits",
+        [(3, 10, 16), (31, 20, 28)],  # the horizon cuts the race at 3 hops
+    )
+    def test_doam_visits(self, ladder, max_hops, node_visits, edge_visits):
+        indexed, seeds = ladder
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            DOAMModel().run(indexed, seeds, max_hops=max_hops)
+        assert registry.counter_value("sim.node_visits") == node_visits
+        assert registry.counter_value("sim.edge_visits") == edge_visits
+
+    def test_opoao_visits(self, ladder):
+        indexed, seeds = ladder
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            for seed in range(4):
+                OPOAOModel().run(indexed, seeds, rng=RngStream(seed), max_hops=6)
+        assert registry.counter_value("sim.node_visits") == 78
+        assert registry.counter_value("sim.edge_visits") == 78
+        assert registry.counter_value("sim.rounds") == 24
+
+    @pytest.mark.parametrize(
+        "kind, hops, activations",
+        [("ic", 1, 16), ("lt", 6, 54), ("opoao", 6, 64), ("doam", 6, 76)],
+    )
+    def test_python_kernel_counts_kernel_work_only(
+        self, ladder, kind, hops, activations
+    ):
+        indexed, seeds = ladder
+        spec = KernelSpec(kind, probability=0.5) if kind == "ic" else KernelSpec(kind)
+        worlds = sample_worlds(indexed, spec, range(4), 6, 3)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            PythonKernelBackend().run_worlds(indexed, spec, worlds, seeds, 6)
+        assert registry.counter_values() == {
+            "kernel.activations": activations,
+            "kernel.batches": 1,
+            "kernel.hops": hops,
+            "kernel.worlds": 4,
+        }
