@@ -21,9 +21,10 @@ import pytest
 from benchmarks.conftest import FAST, SCALE
 from repro.algorithms.base import SelectionContext
 from repro.datasets.registry import load_dataset
+from repro.kernels import available_backends
 from repro.lcrb.pipeline import draw_rumor_seeds
 from repro.rng import RngStream
-from repro.sketch import available_sketch_backends, sample_worlds
+from repro.sketch import sample_worlds
 from repro.sketch.rrset import OPOAORRSampler
 from repro.sketch.store import SketchStore
 
@@ -73,7 +74,7 @@ def make_sampler(context, steps=STEPS):
     )
 
 
-@pytest.mark.parametrize("backend_name", available_sketch_backends())
+@pytest.mark.parametrize("backend_name", available_backends())
 def test_sketch_kernels_sampling(benchmark, instance, bench_metrics,
                                  backend_name):
     # Timing pass under pytest-benchmark statistics: a fresh sampler so
@@ -108,7 +109,7 @@ def test_sketch_kernels_sampling(benchmark, instance, bench_metrics,
 @pytest.mark.parametrize("steps", [4, 8, STEPS])
 def test_numpy_speedup_over_python(instance, report_result, steps):
     """The throughput floor: numpy >= 2x python on enron-small."""
-    if "numpy" not in available_sketch_backends():
+    if "numpy" not in available_backends():
         pytest.skip("numpy backend unavailable")
 
     worlds = WORLDS if steps == STEPS else max(WORLDS, SHORT_HORIZON_WORLDS)
@@ -166,7 +167,7 @@ def test_numpy_block_speedup_over_one_world_calls(instance, report_result):
     array expressions per block; a one-world call pays that whole pass
     for a single world. Both arms draw the same worlds bit for bit.
     """
-    if "numpy" not in available_sketch_backends():
+    if "numpy" not in available_backends():
         pytest.skip("numpy backend unavailable")
 
     steps = 4

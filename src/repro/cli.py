@@ -29,6 +29,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.algorithms.base import SelectionContext
 from repro.algorithms.celf import CELFGreedySelector
 from repro.algorithms.heuristics import (
     MaxDegreeSelector,
@@ -40,6 +41,7 @@ from repro.algorithms.scbg import SCBGSelector
 from repro.community.metrics import conductance
 from repro.datasets.registry import list_datasets, load_dataset
 from repro.diffusion.base import PRIORITY_RULES
+from repro.errors import ReproError
 from repro.experiments.config import TableConfig
 from repro.experiments.harness import make_model, run_figure, run_table
 from repro.experiments.paper import PAPER_EXPERIMENTS, paper_experiment
@@ -53,7 +55,6 @@ from repro.experiments.report import (
 from repro.graph.metrics import summarize
 from repro.lcrb.evaluation import evaluate_protectors
 from repro.lcrb.pipeline import draw_rumor_seeds
-from repro.algorithms.base import SelectionContext
 from repro.logging_utils import configure_logging
 from repro.obs import MetricsRegistry, metrics, use_registry
 from repro.rng import RngStream
@@ -1182,7 +1183,13 @@ ParallelExecutor` is built up front and stashed on ``args.executor``;
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A :class:`~repro.errors.ReproError` (a bad parameter value, a
+    backend whose dependency is missing, a checkpoint that does not
+    match) prints one ``repro: error: <Type>: <message>`` line to
+    stderr and returns 2, like a usage error.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "workers", None) is None:
@@ -1195,11 +1202,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     configure_logging(args.verbose)
     command = _COMMANDS[args.command]
     metrics_path = getattr(args, "metrics_out", None)
-    if metrics_path is None:
-        return _run_command(command, args)
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        code = _run_command(command, args)
+    try:
+        if metrics_path is None:
+            return _run_command(command, args)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            code = _run_command(command, args)
+    except ReproError as error:
+        print(f"repro: error: {type(error).__name__}: {error}", file=sys.stderr)
+        return 2
     registry.write_json(
         metrics_path,
         extra={

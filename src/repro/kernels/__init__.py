@@ -1,4 +1,4 @@
-"""Batched diffusion kernels behind a pluggable backend registry.
+"""Batched diffusion kernels behind one backend registry.
 
 Public API:
 
@@ -23,12 +23,7 @@ guarantee.
 """
 
 from repro.kernels.base import BatchOutcome, KernelBackend
-from repro.kernels.registry import (
-    BACKEND_AUTO,
-    available_backends,
-    register_backend,
-    resolve_backend,
-)
+from repro.kernels.registry import BACKEND_AUTO, available_backends, resolve_backend
 from repro.kernels.sigma import BatchedSigmaEvaluator
 from repro.kernels.spec import KERNEL_KINDS, KernelSpec, spec_for_model
 from repro.kernels.worlds import WorldBatch, sample_worlds
@@ -42,7 +37,6 @@ __all__ = [
     "KernelSpec",
     "WorldBatch",
     "available_backends",
-    "register_backend",
     "resolve_backend",
     "sample_worlds",
     "spec_for_model",

@@ -1,8 +1,9 @@
-"""Kernel backend registry: named engines with graceful degradation.
+"""Backend registry: named engines with graceful degradation.
 
 The library core is zero-dependency, so the vectorized backend is an
 optional extra: ``pip install repro-lcrb[perf]``. This module is the one
-place that knows which backends exist and what they need:
+place that maps a backend name to an engine, for the forward kernels and
+for RR-world sampling (:func:`repro.sketch.kernels.sample_worlds`):
 
 * ``resolve_backend("python")`` — always works;
 * ``resolve_backend("numpy")`` — raises
@@ -12,8 +13,7 @@ place that knows which backends exist and what they need:
   falling back to pure Python silently.
 
 Backend instances are cached (the NumPy backend keeps a per-graph array
-cache worth preserving across calls); third parties can
-:func:`register_backend` their own engines under new names.
+cache worth preserving across calls).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.kernels.base import KernelBackend
 
 __all__ = [
     "available_backends",
-    "register_backend",
     "resolve_backend",
     "BACKEND_AUTO",
 ]
@@ -35,20 +34,6 @@ BACKEND_AUTO = "auto"
 
 #: Preference order for ``auto`` resolution (fastest first).
 _AUTO_ORDER = ("numpy", "python")
-
-_FACTORIES: Dict[str, Callable[[], KernelBackend]] = {}
-_INSTANCES: Dict[str, KernelBackend] = {}
-
-
-def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
-    """Register (or replace) a backend factory under ``name``.
-
-    The factory runs on first :func:`resolve_backend` for that name; an
-    :exc:`ImportError` it raises is reported as
-    :class:`BackendUnavailableError`.
-    """
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
 
 
 def _make_python() -> KernelBackend:
@@ -63,8 +48,14 @@ def _make_numpy() -> KernelBackend:
     return NumpyKernelBackend()
 
 
-register_backend("python", _make_python)
-register_backend("numpy", _make_numpy)
+#: Backend factories, in ``available_backends`` order. A factory runs on
+#: the first :func:`resolve_backend` of its name; an :exc:`ImportError`
+#: it raises is reported as :class:`BackendUnavailableError`.
+_FACTORIES: Dict[str, Callable[[], KernelBackend]] = {
+    "python": _make_python,
+    "numpy": _make_numpy,
+}
+_INSTANCES: Dict[str, KernelBackend] = {}
 
 
 def resolve_backend(name: Optional[str] = BACKEND_AUTO) -> KernelBackend:

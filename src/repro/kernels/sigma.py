@@ -34,7 +34,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Union,
 )
 
 from repro.algorithms.base import SelectionContext
@@ -42,7 +41,7 @@ from repro.diffusion.base import DEFAULT_MAX_HOPS, DiffusionModel, SeedSets
 from repro.diffusion.opoao import OPOAOModel
 from repro.errors import SelectionError
 from repro.graph.digraph import Node
-from repro.kernels.base import BatchOutcome, KernelBackend
+from repro.kernels.base import BatchOutcome
 from repro.kernels.registry import BACKEND_AUTO, resolve_backend
 from repro.kernels.spec import KernelSpec, spec_for_model
 from repro.kernels.worlds import WorldBatch, sample_worlds
@@ -132,8 +131,7 @@ class BatchedSigmaEvaluator:
         rng: base stream; only its *seed* is consumed (worlds are derived
             deterministically from it, so two evaluators built from equal
             streams see identical worlds).
-        backend: backend name (``"python"``/``"numpy"``/``"auto"``) or a
-            ready :class:`~repro.kernels.base.KernelBackend` instance;
+        backend: backend name (``"python"``/``"numpy"``/``"auto"``);
             every backend gives the same σ̂.
         executor: the :class:`~repro.exec.pool.ParallelExecutor` that
             :meth:`sigma_many` fans candidate rounds out over, warm
@@ -149,16 +147,13 @@ class BatchedSigmaEvaluator:
         runs: int = 30,
         max_hops: int = DEFAULT_MAX_HOPS,
         rng: Optional[RngStream] = None,
-        backend: Union[str, KernelBackend, None] = BACKEND_AUTO,
+        backend: Optional[str] = BACKEND_AUTO,
         executor: Optional["ParallelExecutor"] = None,
     ) -> None:
         self.context = context
         self.model = model or OPOAOModel()
         self.spec = spec_for_model(self.model)
-        if isinstance(backend, KernelBackend):
-            self.backend = backend
-        else:
-            self.backend = resolve_backend(backend)
+        self.backend = resolve_backend(backend)
         self.max_hops = int(check_positive(max_hops, "max_hops"))
         self.runs = (
             int(check_positive(runs, "runs")) if self.spec.stochastic else 1

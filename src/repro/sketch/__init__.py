@@ -9,8 +9,9 @@ any protector set by sketch coverage. Four modules:
 
 * :mod:`repro.sketch.rrset` — samplers producing the RR sets under the
   paper's two semantics (OPOAO timestamp process, DOAM arrival times).
-* :mod:`repro.sketch.kernels` — batched sampling kernels racing many
-  worlds on CSR arrays (python / numpy backends, bit-identical).
+* :mod:`repro.sketch.kernels` — :func:`sample_worlds`, the one way to
+  sample RR worlds: a batched NumPy kernel racing many OPOAO worlds on
+  CSR arrays, bit-identical to the per-world samplers it defers to.
 * :mod:`repro.sketch.store` — :class:`SketchStore`: flat-array set
   storage, inverted node index, incremental doubling with an (ε, δ)
   stopping rule, and footprint-based incremental invalidation
@@ -24,11 +25,7 @@ the long-running query service in :mod:`repro.serve`.
 """
 
 from repro.sketch.coverage import max_coverage, protected_fraction
-from repro.sketch.kernels import (
-    available_sketch_backends,
-    resolve_sketch_backend,
-    sample_worlds,
-)
+from repro.sketch.kernels import sample_worlds
 from repro.sketch.rrset import (
     SKETCH_SEMANTICS,
     DOAMRRSampler,
@@ -47,7 +44,5 @@ __all__ = [
     "SketchStore",
     "max_coverage",
     "protected_fraction",
-    "available_sketch_backends",
-    "resolve_sketch_backend",
     "sample_worlds",
 ]

@@ -79,7 +79,7 @@ def max_coverage(
             below the ``alpha`` target.
     """
     excluded_set = set(excluded)
-    indptr, set_ids, members, offsets, np_mod = store.postings_index()
+    indptr, set_ids, members, offsets, np_mod, nodes = store.postings_index()
     # gains[node]: the number of not-yet-covered sets containing node.
     if np_mod is not None:
         covered = np_mod.zeros(store.set_count, dtype=np_mod.bool_)
@@ -99,7 +99,7 @@ def max_coverage(
     # still reaches the next bound is the true argmax.
     heap: List[Tuple[int, int]] = [
         (-gain_of[node], node)
-        for node in store.nodes()
+        for node in nodes
         if node not in excluded_set
     ]
     heapq.heapify(heap)

@@ -1,26 +1,27 @@
-"""Batched RR-set sampling kernels: python / numpy backends, bit-identical.
+"""Batched RR-set sampling: :func:`sample_worlds`, the one way to sample.
 
 The per-world samplers in :mod:`repro.sketch.rrset` are pure functions of
 their replica index, so a batched kernel that races many worlds over the
 graph's CSR arrays can replace them wholesale — provided it reproduces
-every draw bit for bit. This module provides that kernel layer, mirroring
-the :mod:`repro.kernels` registry the forward simulators use:
+every draw bit for bit. :func:`sample_worlds` resolves its ``backend``
+through the one backend registry,
+:func:`repro.kernels.registry.resolve_backend` (``"python"``,
+``"numpy"``, or ``"auto"``/``None`` for the fastest that loads, with
+the same :class:`~repro.errors.BackendUnavailableError` and ``perf``
+hint). When it resolves to ``numpy``, OPOAO worlds with a horizon of
+at most 53 steps go to :class:`NumpySketchKernel`; every other case
+loops ``sampler.sample_world`` over the indices.
 
-* ``python`` — the reference backend: a per-world loop over
-  ``sampler.sample_world`` (always available, trivially identical);
-* ``numpy`` — vectorized batched sampling on CSR arrays;
-* ``auto`` — the fastest backend that loads, degrading silently.
-
-**Bit-identity contract.** For every replica index, backends return the
-same :class:`~repro.sketch.rrset.WorldSample` — same ``rr_sets`` (roots,
-sorted members), same dependency ``footprint`` — as the per-world python
-samplers. :class:`repro.sketch.store.SketchStore` therefore produces the
-same arrays whichever backend samples, serially or across pool workers,
-and :meth:`~repro.sketch.store.SketchStore.refresh` invalidation stays
+**Bit-identity contract.** For every replica index, both paths return
+the same :class:`~repro.sketch.rrset.WorldSample` — same ``rr_sets``
+(roots, sorted members), same dependency ``footprint``.
+:class:`repro.sketch.store.SketchStore` therefore produces the same
+arrays whichever backend samples, serially or across pool workers, and
+:meth:`~repro.sketch.store.SketchStore.refresh` invalidation stays
 exact. The differential suite (``tests/sketch/test_sketch_kernels.py``)
 enforces the contract property-style.
 
-How the numpy backend reproduces the python draws exactly:
+How the numpy kernel reproduces the python draws exactly:
 
 * **One counter-keyed rule.** Every pick is
   :func:`repro.rng.pick` of (world key, node, step), which the
@@ -56,36 +57,19 @@ How the numpy backend reproduces the python draws exactly:
   :class:`~repro.sketch.rrset.WorldSample` through
   :meth:`~repro.sketch.rrset.WorldSample.from_packed`, with no per-set
   tuples.
-
-Deterministic DOAM needs no randomness: the backend vectorizes the
-forward BFS and the depth-bounded reverse balls, priming the sampler's
-single-world cache so serve/refresh cache semantics are unchanged.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import BackendUnavailableError, KernelError
+from repro.kernels.registry import resolve_backend
 from repro.rng import pick, world_keys
-from repro.sketch.rrset import DOAMRRSampler, OPOAORRSampler, WorldSample
+from repro.sketch.rrset import OPOAORRSampler, WorldSample
 
-__all__ = [
-    "SKETCH_BACKEND_AUTO",
-    "available_sketch_backends",
-    "register_sketch_backend",
-    "resolve_sketch_backend",
-    "sample_worlds",
-    "PythonSketchKernel",
-    "NumpySketchKernel",
-]
-
-#: Resolve to the fastest sketch backend that loads.
-SKETCH_BACKEND_AUTO = "auto"
-
-#: Preference order for ``auto`` resolution (fastest first).
-_AUTO_ORDER = ("numpy", "python")
+__all__ = ["sample_worlds", "NumpySketchKernel"]
 
 #: Pick bitmasks must stay exactly representable in float64 for the
 #: ``frexp`` highest-bit trick; beyond this the kernel defers to python.
@@ -110,16 +94,6 @@ def _unique(np_mod, values):
     if ordered.size < 2:
         return ordered
     return ordered[np_mod.concatenate(([True], ordered[1:] != ordered[:-1]))]
-
-
-class PythonSketchKernel:
-    """Reference backend: the per-world samplers, one index at a time."""
-
-    name = "python"
-
-    def sample(self, sampler, indices: Sequence[int]) -> List[WorldSample]:
-        """Worlds for ``indices`` in order (definitionally bit-identical)."""
-        return [sampler.sample_world(int(index)) for index in indices]
 
 
 class _GraphData:
@@ -190,9 +164,7 @@ class _ChoiceBits:
 
 
 class NumpySketchKernel:
-    """Vectorized batched RR sampling on CSR arrays (bit-identical)."""
-
-    name = "numpy"
+    """Vectorized batched OPOAO RR sampling on CSR arrays (bit-identical)."""
 
     def __init__(self) -> None:
         import numpy
@@ -235,12 +207,6 @@ class NumpySketchKernel:
             self._graphs.pop(next(iter(self._graphs)))
         self._graphs[id(csr)] = data
         return data
-
-    @staticmethod
-    def _ragged_positions(np_mod, starts, counts, total: int):
-        """Flat edge positions of the ragged rows ``[starts, starts+counts)``."""
-        offsets = np_mod.cumsum(counts) - counts
-        return np_mod.repeat(starts - offsets, counts) + np_mod.arange(total)
 
     # -- OPOAO -------------------------------------------------------------------
 
@@ -333,9 +299,10 @@ class NumpySketchKernel:
             total = int(counts.sum())
             if total == 0:
                 continue
-            positions = self._ragged_positions(
-                np_mod, in_indptr[nodes], counts, total
-            )
+            # Flat in-edge positions of the ragged rows of ``nodes``.
+            positions = np_mod.repeat(
+                in_indptr[nodes] - (np_mod.cumsum(counts) - counts), counts
+            ) + np_mod.arange(total)
             tails = in_indices[positions]
             world = np_mod.repeat(worlds[rows], counts)
             bits.ensure(world * node_count + tails)
@@ -439,161 +406,45 @@ class NumpySketchKernel:
             )
         return samples
 
-    # -- DOAM --------------------------------------------------------------------
-
-    def _doam_cached(self, sampler) -> Tuple[List, Tuple[int, ...]]:
-        """The single DOAM world's ``(rr_sets, footprint)`` payload."""
-        np_mod = self._np
+    def sample(
+        self, sampler: OPOAORRSampler, indices: List[int]
+    ) -> List[WorldSample]:
+        """OPOAO worlds for ``indices`` in order, ``_BLOCK_WORLDS`` per pass."""
         data = self._graph_data(sampler.graph)
-        distance = np_mod.full(data.node_count, -1, dtype=np_mod.int64)
-        frontier = np_mod.array(sampler.rumor_ids, dtype=np_mod.int64)
-        distance[frontier] = 0
-        for hop in range(sampler.max_hops):
-            counts = data.out_deg[frontier]
-            total = int(counts.sum())
-            if total == 0:
-                break
-            positions = self._ragged_positions(
-                np_mod, data.indptr[frontier], counts, total
-            )
-            heads = _unique(np_mod, data.indices[positions])
-            heads = heads[distance[heads] < 0]
-            if heads.size == 0:
-                break
-            distance[heads] = hop + 1
-            frontier = heads
-        stamp = np_mod.full(data.node_count, -1, dtype=np_mod.int64)
-        rr_sets: List[Tuple[int, Tuple[int, ...]]] = []
-        for mark, end in enumerate(sampler.end_ids):
-            if distance[end] < 0:
-                continue  # the rumor never arrives; nothing to save
-            members = self._reverse_ball(
-                data, stamp, mark, end, int(distance[end])
-            )
-            rr_sets.append((end, tuple(members)))
-        footprint = set(np_mod.nonzero(distance >= 0)[0].tolist())
-        footprint.update(sampler.end_ids)
-        for _end, members in rr_sets:
-            footprint.update(members)
-        return rr_sets, tuple(sorted(footprint))
-
-    def _reverse_ball(
-        self, data: _GraphData, stamp, mark: int, end: int, depth: int
-    ) -> List[int]:
-        """Sorted node ids within ``depth`` reverse hops of ``end``."""
-        np_mod = self._np
-        stamp[end] = mark
-        layers = [np_mod.array([end], dtype=np_mod.int64)]
-        frontier = layers[0]
-        for _hop in range(depth):
-            counts = data.in_deg[frontier]
-            total = int(counts.sum())
-            if total == 0:
-                break
-            positions = self._ragged_positions(
-                np_mod, data.in_indptr[frontier], counts, total
-            )
-            tails = _unique(np_mod, data.in_indices[positions])
-            tails = tails[stamp[tails] != mark]
-            if tails.size == 0:
-                break
-            stamp[tails] = mark
-            layers.append(tails)
-            frontier = tails
-        members = np_mod.concatenate(layers)
-        members.sort()
-        return members.tolist()
-
-    # -- dispatch ----------------------------------------------------------------
-
-    def sample(self, sampler, indices: Sequence[int]) -> List[WorldSample]:
-        """Worlds for ``indices`` in order, bit-identical to python.
-
-        Unknown sampler types — and OPOAO horizons past the float64-exact
-        bitmask range — defer to the per-world reference path.
-        """
-        index_list = [int(index) for index in indices]
-        if isinstance(sampler, DOAMRRSampler):
-            if sampler._cached is None:
-                sampler._cached = self._doam_cached(sampler)
-            return [sampler.sample_world(index) for index in index_list]
-        if (
-            isinstance(sampler, OPOAORRSampler)
-            and sampler.steps <= _MAX_FREXP_STEPS
-        ):
-            data = self._graph_data(sampler.graph)
-            samples: List[WorldSample] = []
-            for start in range(0, len(index_list), _BLOCK_WORLDS):
-                block = index_list[start : start + _BLOCK_WORLDS]
-                samples.extend(self._opoao_block(sampler, data, block))
-            return samples
-        return [sampler.sample_world(index) for index in index_list]
+        samples: List[WorldSample] = []
+        for start in range(0, len(indices), _BLOCK_WORLDS):
+            block = indices[start : start + _BLOCK_WORLDS]
+            samples.extend(self._opoao_block(sampler, data, block))
+        return samples
 
 
-# -- registry --------------------------------------------------------------------
-
-_FACTORIES: Dict[str, Callable[[], Any]] = {}
-_INSTANCES: Dict[str, Any] = {}
-
-
-def register_sketch_backend(name: str, factory: Callable[[], Any]) -> None:
-    """Register (or replace) a sketch-kernel factory under ``name``."""
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-register_sketch_backend("python", PythonSketchKernel)
-register_sketch_backend("numpy", NumpySketchKernel)
-
-
-def resolve_sketch_backend(name: Optional[str] = SKETCH_BACKEND_AUTO):
-    """The sketch kernel registered under ``name`` (``None`` == ``"auto"``).
-
-    Raises:
-        BackendUnavailableError: the backend exists but its dependency
-            is missing (never for ``"auto"``, which falls back).
-        KernelError: no backend of that name exists.
-    """
-    if name is None or name == SKETCH_BACKEND_AUTO:
-        for candidate in _AUTO_ORDER:
-            try:
-                return resolve_sketch_backend(candidate)
-            except BackendUnavailableError:
-                continue
-        raise KernelError("no sketch backend could be loaded")  # unreachable
-    cached = _INSTANCES.get(name)
-    if cached is not None:
-        return cached
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        raise KernelError(
-            f"unknown sketch backend {name!r}; registered: {sorted(_FACTORIES)}"
-        )
-    try:
-        instance = factory()
-    except ImportError as error:
-        raise BackendUnavailableError(
-            f"sketch backend {name!r} needs an optional dependency "
-            f"({error}); install the 'perf' extra: pip install repro-lcrb[perf]"
-        ) from error
-    _INSTANCES[name] = instance
-    return instance
-
-
-def available_sketch_backends() -> List[str]:
-    """Names of sketch backends that load here, in registration order."""
-    names: List[str] = []
-    for name in _FACTORIES:
-        try:
-            resolve_sketch_backend(name)
-        except BackendUnavailableError:
-            continue
-        names.append(name)
-    return names
+@lru_cache(maxsize=None)
+def _numpy_kernel() -> NumpySketchKernel:
+    """The one kernel, built on first use (it caches per-graph arrays)."""
+    return NumpySketchKernel()
 
 
 def sample_worlds(
     sampler, indices: Sequence[int], backend: Optional[str] = None
 ) -> List[WorldSample]:
-    """Sample ``indices`` through the named (or auto) sketch backend."""
-    return resolve_sketch_backend(backend).sample(sampler, list(indices))
+    """Worlds for ``indices`` in order, bit-identical on every backend.
+
+    ``backend`` resolves through
+    :func:`repro.kernels.registry.resolve_backend` (``None`` ==
+    ``"auto"``). On ``numpy``, an OPOAO sampler whose horizon fits the
+    ``frexp`` range goes to :class:`NumpySketchKernel`; every other
+    case runs ``sampler.sample_world(i)`` for each index.
+
+    Raises:
+        BackendUnavailableError: ``backend`` names an engine whose
+            dependency is missing (never for ``"auto"``).
+        KernelError: no backend of that name exists.
+    """
+    index_list = [int(index) for index in indices]
+    if (
+        resolve_backend(backend).name == "numpy"
+        and isinstance(sampler, OPOAORRSampler)
+        and sampler.steps <= _MAX_FREXP_STEPS
+    ):
+        return _numpy_kernel().sample(sampler, index_list)
+    return [sampler.sample_world(index) for index in index_list]

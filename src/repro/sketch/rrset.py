@@ -95,8 +95,8 @@ class WorldSample:
             bridge end, ``members`` the sorted node ids whose singleton
             protector cascade saves it in this world.
         footprint: sorted node ids whose adjacency rows sampling read
-            (``None`` when the producing sampler predates footprints —
-            the store then treats the world as always-stale on updates).
+            (what :meth:`repro.sketch.store.SketchStore.refresh` tests
+            an update against).
     """
 
     __slots__ = ("index", "_roots", "_offsets", "_members", "_footprint", "_view")
@@ -105,7 +105,7 @@ class WorldSample:
         self,
         index: int,
         rr_sets: Sequence[Tuple[int, Tuple[int, ...]]],
-        footprint: Optional[Sequence[int]] = None,
+        footprint: Sequence[int],
     ) -> None:
         self.index = index
         roots = array("i")
@@ -118,9 +118,7 @@ class WorldSample:
         self._roots = roots
         self._offsets = offsets
         self._members = members
-        self._footprint = (
-            None if footprint is None else array("i", sorted(footprint))
-        )
+        self._footprint = array("i", sorted(footprint))
         self._view: Optional[List[Tuple[int, Tuple[int, ...]]]] = None
 
     @classmethod
@@ -130,13 +128,13 @@ class WorldSample:
         roots: array,
         offsets: array,
         members: array,
-        footprint: Optional[array],
+        footprint: array,
     ) -> "WorldSample":
         """A world from arrays already in :meth:`packed` form.
 
         ``roots``, ``members`` and ``footprint`` are ``array("i")``
-        (``footprint`` sorted, or ``None``), ``offsets`` an
-        ``array("q")`` starting at 0; they are kept, not copied.
+        (``footprint`` sorted), ``offsets`` an ``array("q")`` starting
+        at 0; they are kept, not copied.
         """
         world = cls.__new__(cls)
         world.__setstate__((index, roots, offsets, members, footprint))
@@ -155,13 +153,14 @@ class WorldSample:
         return self._view
 
     @property
-    def footprint(self) -> Optional[Tuple[int, ...]]:
-        """Sorted dependency footprint (``None`` when unknown)."""
-        return None if self._footprint is None else tuple(self._footprint)
+    def footprint(self) -> Tuple[int, ...]:
+        """Sorted dependency footprint."""
+        return tuple(self._footprint)
 
-    def packed(self) -> Tuple[array, array, array]:
-        """The raw ``(roots, offsets, members)`` arrays (read-only use)."""
-        return self._roots, self._offsets, self._members
+    def packed(self) -> Tuple[array, array, array, array]:
+        """The raw ``(roots, offsets, members, footprint)`` arrays
+        (read-only use)."""
+        return self._roots, self._offsets, self._members, self._footprint
 
     def __getstate__(self):
         return (self.index, self._roots, self._offsets, self._members, self._footprint)
@@ -328,8 +327,11 @@ class DOAMRRSampler:
     """RR sets under DOAM: the flattened BBST of each at-risk bridge end.
 
     DOAM consumes no randomness, so every world index yields the same
-    sample; the sets are computed once and cached. ``rng`` is accepted
-    for interface symmetry and ignored.
+    sample; the sets are computed once per :attr:`graph.version
+    <repro.graph.compact.IndexedDiGraph.version>` and cached, so an
+    in-place :meth:`~repro.graph.compact.IndexedDiGraph.apply_updates`
+    is followed with no hook. ``rng`` is accepted for interface
+    symmetry and ignored.
     """
 
     name = "DOAM-RR"
@@ -350,7 +352,8 @@ class DOAMRRSampler:
         self.end_ids = _check_ids(graph, bridge_end_ids, "bridge end")
         self.max_hops = int(check_positive(max_hops, "max_hops"))
         self.rng = rng
-        self._cached: Optional[Tuple[List, Tuple[int, ...]]] = None
+        # (graph version, rr_sets, footprint) of the one world.
+        self._cached: Optional[Tuple[int, List, Tuple[int, ...]]] = None
 
     def _rumor_arrival(self) -> Dict[int, int]:
         """Multi-source BFS hop distance from the nearest rumor seed."""
@@ -392,13 +395,10 @@ class DOAMRRSampler:
             "seed": None,
         }
 
-    def forget(self) -> None:
-        """Drop the cached world (call after the graph mutates in place)."""
-        self._cached = None
-
     def sample_world(self, index: int) -> WorldSample:
         """The (unique) DOAM world, whatever ``index`` is passed."""
-        if self._cached is None:
+        version = self.graph.version
+        if self._cached is None or self._cached[0] != version:
             arrival = self._rumor_arrival()
             rr_sets = [
                 (end, self._reverse_ball(end, arrival[end]))
@@ -409,8 +409,8 @@ class DOAMRRSampler:
             footprint.update(self.end_ids)
             for _, members in rr_sets:
                 footprint.update(members)
-            self._cached = (rr_sets, tuple(sorted(footprint)))
-        rr_sets, footprint = self._cached
+            self._cached = (version, rr_sets, tuple(sorted(footprint)))
+        _version, rr_sets, footprint = self._cached
         return WorldSample(index, rr_sets, footprint=footprint)
 
     def __repr__(self) -> str:

@@ -15,19 +15,22 @@ member ids plus an offsets array, rather than a list of Python sets —
 compact, cache-friendly, and cheap to extend. The inverted index is a
 CSR-packed postings table (``node -> ascending set ids``) built lazily
 from those arrays — with NumPy when available, via a counting sort
-otherwise — and invalidated whenever a world is appended, so membership
+otherwise — together with the ascending list of nodes that appear in
+any set, and invalidated whenever a world is appended, so membership
 queries return flat slices instead of per-node Python buckets and
 coverage counts vectorise. Worlds are append-only and derived purely
-from their replica index, so a store can **double** its sample size in
-place (IMM-style sample-size control) without disturbing the sets
-already drawn: growing a store from 32 to 64 worlds yields the same
-arrays as sampling 64 worlds up front, which also makes stores safely
-shareable across selector calls.
+from their replica index, so a store can grow its sample in place
+(IMM-style doubling through :meth:`SketchStore.ensure_worlds`) without
+disturbing the sets already drawn: growing a store from 32 to 64 worlds
+yields the same arrays as sampling 64 worlds up front, which also makes
+stores safely shareable across selector calls.
 
 Sampling itself goes through :func:`repro.sketch.kernels.sample_worlds`
-— the ``backend`` knob picks the batched kernel (``"numpy"``,
-``"python"``, or auto) both for serial rounds and inside pool workers,
-and every backend is bit-identical by contract.
+— the ``backend`` knob (``"numpy"``, ``"python"``, or auto) applies
+both to serial rounds and inside pool workers, and every backend is
+bit-identical by contract. Every world arrives packed (see
+:meth:`~repro.sketch.rrset.WorldSample.packed`) and is appended from
+those arrays.
 
 The stopping rule is the classic relative-precision test: keep doubling
 until the empirical (1 - δ)-confidence half-width of σ̂(A) is at most
@@ -58,7 +61,17 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Any, Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ValidationError
 from repro.obs.registry import metrics
@@ -77,7 +90,8 @@ class PostingsIndex(NamedTuple):
     offsets[set_id + 1]]`` are the members of one set. With NumPy every
     column is an ndarray (int64 ``indptr``/``offsets``, int32
     ``set_ids``/``members``) and ``np`` is the module; without it the
-    columns are machine arrays and ``np`` is ``None``.
+    columns are machine arrays and ``np`` is ``None``. ``nodes`` lists
+    the ids with a non-empty postings row, ascending.
     """
 
     indptr: Any
@@ -85,13 +99,14 @@ class PostingsIndex(NamedTuple):
     members: Any
     offsets: Any
     np: Any
+    nodes: List[int]
 
 
 def _sampler_worker_setup(graph, payload):
     """Pool worker set-up: rebuild the RR sampler against the shared graph."""
     from repro.sketch.rrset import rebuild_sampler
 
-    return rebuild_sampler(graph, payload["sampler"]), payload.get("backend")
+    return rebuild_sampler(graph, payload["sampler"]), payload["backend"]
 
 
 def _sampler_worker_chunk(state, indices):
@@ -109,9 +124,9 @@ class SketchStore:
         sampler: an object with ``sample_world(index) -> WorldSample``
             and a ``stochastic`` flag (see :mod:`repro.sketch.rrset`).
         executor: the :class:`~repro.exec.pool.ParallelExecutor` whose
-            warm pool serves every doubling round. Needs a sampler
-            exposing ``worker_payload()``; contents are bit-identical
-            either way. ``None`` runs serially.
+            warm pool serves every doubling round; workers rebuild the
+            sampler from its ``worker_payload()``. Contents are
+            bit-identical either way. ``None`` runs serially.
         backend: sketch-kernel backend for world sampling (``"numpy"``,
             ``"python"``, or ``None``/``"auto"`` for the fastest
             available); applied serially and inside pool workers. All
@@ -128,7 +143,6 @@ class SketchStore:
         "_roots",
         "_world_of",
         "_sets_per_world",
-        "_node_ids",
         "_postings",
         "_world_np",
         "_footprints",
@@ -143,6 +157,10 @@ class SketchStore:
         self.sampler = sampler
         self.backend = backend
         self._executor = executor
+        self._reset()
+
+    def _reset(self) -> None:
+        """Empty every column (construction, and :meth:`refresh`)."""
         #: number of worlds sampled so far.
         self.worlds = 0
         self._members = array("i")  # all RR-set members, concatenated
@@ -150,14 +168,12 @@ class SketchStore:
         self._roots = array("i")  # bridge end each set was grown from
         self._world_of = array("i")  # world index each set belongs to
         self._sets_per_world = array("i")
-        self._node_ids: set = set()  # node ids appearing in any RR set
         # Lazily built PostingsIndex; invalidated whenever the set arrays
         # grow or reset.
-        self._postings = None
+        self._postings: Optional[PostingsIndex] = None
         self._world_np = None  # numpy copy of _world_of, same lifetime
-        # per-world dependency footprint (frozenset of node ids, or None
-        # when unknown — e.g. restored from a pre-footprint checkpoint).
-        self._footprints: List = []
+        # per-world dependency footprint (frozenset of node ids).
+        self._footprints: List[FrozenSet[int]] = []
 
     # -- growth -----------------------------------------------------------------
 
@@ -171,7 +187,7 @@ class SketchStore:
         if self.worlds:
             metrics().inc("sketch.store_doublings")
         for world in self._sample_range(range(self.worlds, count)):
-            self._append_world(world)
+            self._append(*world.packed())
         return self
 
     def _sample_range(self, indices) -> List:
@@ -181,34 +197,26 @@ class SketchStore:
         :func:`repro.sketch.kernels.sample_worlds` with the store's
         ``backend``, so the batched kernels serve every path. Falls back
         to serial sampling when there is no executor, the round resolves
-        to one worker (always so for a single index), the sampler is
-        deterministic (one cached world — nothing to fan out), or it
-        cannot describe itself for worker-side rebuilding.
+        to one worker (always so for a single index), or the sampler is
+        deterministic (one cached world — nothing to fan out).
         """
         from repro.exec.pool import resolve_workers
         from repro.sketch.kernels import sample_worlds
 
         executor = self._executor
-        payload_fn = getattr(self.sampler, "worker_payload", None)
         if (
             executor is None
             or resolve_workers(executor.workers, len(indices)) <= 1
-            or payload_fn is None
             or not self.sampler.stochastic
         ):
             return sample_worlds(self.sampler, list(indices), backend=self.backend)
         return executor.map_items(
             _sampler_worker_setup,
             _sampler_worker_chunk,
-            {"sampler": payload_fn(), "backend": self.backend},
+            {"sampler": self.sampler.worker_payload(), "backend": self.backend},
             list(indices),
             graph=self.sampler.graph,
         )
-
-    def double(self, minimum: int = 32) -> "SketchStore":
-        """IMM-style growth step: at least ``minimum``, else twice the worlds."""
-        self.ensure_worlds(max(minimum, 2 * self.worlds))
-        return self
 
     # -- incremental invalidation ------------------------------------------------
 
@@ -218,8 +226,8 @@ class SketchStore:
         A world is stale when its dependency footprint intersects
         ``touched`` (the endpoint ids of the mutated edges, what
         :meth:`~repro.graph.compact.IndexedDiGraph.apply_updates`
-        returns) or when its footprint is unknown; refreshing exactly
-        these reproduces a from-scratch store bit for bit.
+        returns); refreshing exactly these reproduces a from-scratch
+        store bit for bit.
         """
         touched_set = frozenset(touched)
         if not touched_set or self.worlds == 0:
@@ -227,7 +235,7 @@ class SketchStore:
         return [
             world
             for world, footprint in enumerate(self._footprints)
-            if footprint is None or footprint & touched_set
+            if footprint & touched_set
         ]
 
     def refresh(self, touched: Iterable[int]) -> Tuple[int, int]:
@@ -235,10 +243,11 @@ class SketchStore:
 
         Worlds are pure functions of their replica index, so resampling
         exactly the stale indices (:meth:`stale_worlds`) on the mutated
-        sampler graph and re-appending every fresh world unchanged
-        rebuilds the arrays to what a from-scratch store on the mutated
-        graph would hold, bit for bit. Resampling fans out over the
-        configured pool like any growth round.
+        sampler graph and re-appending every other world unchanged, from
+        slices of the current columns, rebuilds the arrays to what a
+        from-scratch store on the mutated graph would hold, bit for bit.
+        Resampling fans out over the configured pool like any growth
+        round.
 
         Only freshly resampled worlds count toward the ``sketch.*``
         sampling metrics.
@@ -249,96 +258,68 @@ class SketchStore:
             sets they held (what ``serve.rrsets.invalidated`` reports).
         """
         stale = self.stale_worlds(touched)
-        forget = getattr(self.sampler, "forget", None)
-        if forget is not None:
-            forget()  # a cached deterministic world is stale wholesale
         if not stale:
             return 0, 0
         invalidated = sum(self._sets_per_world[world] for world in stale)
         resampled = dict(zip(stale, self._sample_range(stale)))
-        from repro.sketch.rrset import WorldSample
-
-        kept: List = []
-        for world in range(self.worlds):
+        roots, offsets, members = self._roots, self._offsets, self._members
+        sets_per_world, footprints = self._sets_per_world, self._footprints
+        self._reset()
+        lo = 0
+        for world, set_count in enumerate(sets_per_world):
+            hi = lo + set_count
             fresh = resampled.get(world)
             if fresh is None:
-                lo = sum(self._sets_per_world[:world])
-                hi = lo + self._sets_per_world[world]
-                rr_sets = [
-                    (self._roots[set_id], self.members(set_id))
-                    for set_id in range(lo, hi)
-                ]
-                fresh = WorldSample(
-                    world, rr_sets, footprint=self._footprints[world]
+                self._append(
+                    roots[lo:hi],
+                    offsets[lo : hi + 1],
+                    members[offsets[lo] : offsets[hi]],
+                    footprints[world],
+                    count=False,
                 )
-                kept.append((fresh, False))
             else:
-                kept.append((fresh, True))
-        self.worlds = 0
-        self._members = array("i")
-        self._offsets = array("q", [0])
-        self._roots = array("i")
-        self._world_of = array("i")
-        self._sets_per_world = array("i")
-        self._node_ids = set()
-        self._postings = None
-        self._world_np = None
-        self._footprints = []
-        for world, counted in kept:
-            self._append_world(world, count=counted)
+                self._append(*fresh.packed())
+            lo = hi
         registry = metrics()
         if registry.enabled:
             registry.counter("sketch.worlds_invalidated").add(len(stale))
             registry.counter("sketch.rrsets_invalidated").add(invalidated)
         return len(stale), invalidated
 
-    def _append_world(self, world, count: bool = True) -> None:
-        """Append one world's sets; ``count=False`` skips the sampling
-        metrics (used by :meth:`refresh` when re-appending a world that
-        was *not* resampled — its sampling was already counted when it
-        was first drawn)."""
-        registry = metrics()
-        track = registry.enabled and count
-        footprint = getattr(world, "footprint", None)
-        self._footprints.append(
-            None if footprint is None else frozenset(footprint)
-        )
-        packed = getattr(world, "packed", None)
-        if packed is not None:
-            roots, offsets, members = packed()
-            set_count = len(roots)
-            base = len(self._members)
-            self._roots.extend(roots)
-            self._world_of.extend([self.worlds] * set_count)
-            self._members.extend(members)
-            for position in range(set_count):
-                self._offsets.append(base + offsets[position + 1])
-                if track:
-                    registry.histogram("sketch.rrset_size").observe(
-                        offsets[position + 1] - offsets[position]
-                    )
-            self._node_ids.update(members)
-        else:  # duck-typed world: fall back to the tuple view
-            set_count = len(world.rr_sets)
-            for root, members in world.rr_sets:
-                self._roots.append(root)
-                self._world_of.append(self.worlds)
-                self._members.extend(members)
-                self._offsets.append(len(self._members))
-                self._node_ids.update(members)
-                if track:
-                    registry.histogram("sketch.rrset_size").observe(len(members))
+    def _append(
+        self, roots, offsets, members, footprint, count: bool = True
+    ) -> None:
+        """Append one world from packed columns.
+
+        Set ``i`` of the world is rooted at ``roots[i]`` and holds
+        ``members[offsets[i] - offsets[0]:offsets[i + 1] - offsets[0]]``
+        (a world's own :meth:`~repro.sketch.rrset.WorldSample.packed`
+        offsets start at 0; :meth:`refresh` passes slices of the store's
+        columns). ``count=False`` skips the sampling metrics, for a
+        world :meth:`refresh` keeps: its sampling was counted when it
+        was first drawn.
+        """
+        set_count = len(roots)
+        shift = len(self._members) - offsets[0]
+        self._roots.extend(roots)
+        self._world_of.extend([self.worlds] * set_count)
+        self._members.extend(members)
+        self._offsets.extend([shift + end for end in offsets[1:]])
+        self._sets_per_world.append(set_count)
+        self._footprints.append(frozenset(footprint))
         self._postings = None
         self._world_np = None
         self.worlds += 1
-        self._sets_per_world.append(set_count)
-        if track:
+        registry = metrics()
+        if count and registry.enabled:
+            sizes = registry.histogram("sketch.rrset_size")
+            for position in range(set_count):
+                sizes.observe(offsets[position + 1] - offsets[position])
             registry.counter("sketch.worlds_sampled").add(1)
             registry.counter("sketch.rrsets_sampled").add(set_count)
             registry.counter("sketch.rrset_members_stored").add(
-                self._offsets[-1] - self._offsets[-1 - set_count]
+                offsets[-1] - offsets[0]
             )
-            registry.set_gauge("sketch.index_nodes", len(self._node_ids))
             registry.set_gauge("sketch.set_count", len(self._roots))
 
     # -- checkpointing ----------------------------------------------------------
@@ -359,10 +340,7 @@ class SketchStore:
             "roots": list(self._roots),
             "world_of": list(self._world_of),
             "sets_per_world": list(self._sets_per_world),
-            "footprints": [
-                None if footprint is None else sorted(footprint)
-                for footprint in self._footprints
-            ],
+            "footprints": [sorted(footprint) for footprint in self._footprints],
         }
 
     def load_state(self, state: Dict[str, object]) -> "SketchStore":
@@ -371,10 +349,21 @@ class SketchStore:
         Restoration deliberately does **not** replay the ``sketch.*``
         metrics — the interrupted run already counted that sampling
         work; the resumed run only counts what it samples itself.
+
+        Raises:
+            ValidationError: the store is not empty, or ``state`` holds
+                no ``footprints`` (every sampler records one, and
+                :meth:`refresh` needs it).
         """
         if self.worlds or self._roots:
             raise ValidationError(
                 "load_state requires an empty store; build a fresh one"
+            )
+        footprints = state.get("footprints")
+        if footprints is None:
+            raise ValidationError(
+                "sketch state has no footprints; it cannot come from this "
+                "library, so resample instead of resuming"
             )
         self.worlds = int(state["worlds"])
         self._members = array("i", (int(v) for v in state["members"]))
@@ -384,17 +373,7 @@ class SketchStore:
         self._sets_per_world = array(
             "i", (int(v) for v in state["sets_per_world"])
         )
-        # pre-footprint checkpoints restore as unknown footprints, which
-        # stale_worlds treats conservatively (always stale).
-        footprints = state.get("footprints")
-        if footprints is None:
-            self._footprints = [None] * self.worlds
-        else:
-            self._footprints = [
-                None if footprint is None else frozenset(footprint)
-                for footprint in footprints
-            ]
-        self._node_ids = set(self._members)
+        self._footprints = [frozenset(footprint) for footprint in footprints]
         self._postings = None
         self._world_np = None
         return self
@@ -424,7 +403,7 @@ class SketchStore:
         """The world index RR set ``set_id`` belongs to."""
         return self._world_of[set_id]
 
-    def postings_index(self):
+    def postings_index(self) -> PostingsIndex:
         """The store's :class:`PostingsIndex`: ``node -> set ids`` postings
         plus the ``set -> members`` columns they were inverted from.
 
@@ -433,7 +412,7 @@ class SketchStore:
         (appends batch, queries dominate). The NumPy columns are *copies*
         of the member storage, so the store's own arrays stay free to
         grow; without NumPy, ``members``/``offsets`` are the store's own
-        columns.
+        columns. Each build sets the ``sketch.index_nodes`` gauge.
         """
         cached = self._postings
         if cached is not None:
@@ -442,7 +421,6 @@ class SketchStore:
             import numpy as np_mod
         except ImportError:
             np_mod = None
-        top = (max(self._node_ids) + 1) if self._node_ids else 0
         if np_mod is not None:
             members = np_mod.array(self._members, dtype=np_mod.int32)
             offsets = np_mod.array(self._offsets, dtype=np_mod.int64)
@@ -453,31 +431,43 @@ class SketchStore:
             # Stable sort by node: within one node the original order —
             # and therefore the set ids — stay ascending.
             order = np_mod.argsort(members, kind="stable")
-            postings = set_ids[order]
-            indptr = np_mod.zeros(top + 1, dtype=np_mod.int64)
-            if members.size:
-                np_mod.cumsum(
-                    np_mod.bincount(members, minlength=top), out=indptr[1:]
-                )
-            self._postings = PostingsIndex(indptr, postings, members, offsets, np_mod)
-            return self._postings
-        counts_list = [0] * top
-        for node in self._members:
-            counts_list[node] += 1
-        indptr_arr = array("q", [0] * (top + 1))
-        for node in range(top):
-            indptr_arr[node + 1] = indptr_arr[node] + counts_list[node]
-        cursor = list(indptr_arr[:top])
-        postings_arr = array("i", bytes(4 * len(self._members)))
-        for set_id in range(len(self._roots)):
-            for position in range(self._offsets[set_id], self._offsets[set_id + 1]):
-                node = self._members[position]
-                postings_arr[cursor[node]] = set_id
-                cursor[node] += 1
-        self._postings = PostingsIndex(
-            indptr_arr, postings_arr, self._members, self._offsets, None
-        )
-        return self._postings
+            counts = np_mod.bincount(members)
+            indptr = np_mod.zeros(len(counts) + 1, dtype=np_mod.int64)
+            np_mod.cumsum(counts, out=indptr[1:])
+            index = PostingsIndex(
+                indptr,
+                set_ids[order],
+                members,
+                offsets,
+                np_mod,
+                np_mod.flatnonzero(counts).tolist(),
+            )
+        else:
+            top = max(self._members) + 1 if self._members else 0
+            counts_list = [0] * top
+            for node in self._members:
+                counts_list[node] += 1
+            indptr_arr = array("q", [0] * (top + 1))
+            for node in range(top):
+                indptr_arr[node + 1] = indptr_arr[node] + counts_list[node]
+            cursor = list(indptr_arr[:top])
+            postings_arr = array("i", bytes(4 * len(self._members)))
+            for set_id in range(len(self._roots)):
+                for position in range(self._offsets[set_id], self._offsets[set_id + 1]):
+                    node = self._members[position]
+                    postings_arr[cursor[node]] = set_id
+                    cursor[node] += 1
+            index = PostingsIndex(
+                indptr_arr,
+                postings_arr,
+                self._members,
+                self._offsets,
+                None,
+                [node for node in range(top) if counts_list[node]],
+            )
+        metrics().set_gauge("sketch.index_nodes", len(index.nodes))
+        self._postings = index
+        return index
 
     def sets_containing(self, node: int) -> Sequence[int]:
         """Ids of the RR sets containing ``node``, ascending (empty if none).
@@ -492,8 +482,12 @@ class SketchStore:
         return postings[:0]
 
     def nodes(self) -> List[int]:
-        """All node ids appearing in at least one RR set, ascending."""
-        return sorted(self._node_ids)
+        """All node ids appearing in at least one RR set, ascending.
+
+        The list is the postings index's own (built once per index), so
+        callers must not mutate it.
+        """
+        return self.postings_index().nodes
 
     # -- estimation -------------------------------------------------------------
 
@@ -580,5 +574,5 @@ class SketchStore:
     def __repr__(self) -> str:
         return (
             f"SketchStore(sampler={self.sampler.name}, worlds={self.worlds}, "
-            f"sets={self.set_count}, nodes={len(self._node_ids)})"
+            f"sets={self.set_count})"
         )

@@ -1,4 +1,9 @@
-"""Backend registry: resolution, graceful degradation, spec mapping."""
+"""Backend registry: resolution, graceful degradation, spec mapping.
+
+The registry is the one place a backend name becomes an engine, for the
+forward kernels and for RR-world sampling alike, so the resolution cases
+of :func:`repro.sketch.kernels.sample_worlds` live here too.
+"""
 
 import pytest
 
@@ -7,14 +12,15 @@ from repro.diffusion.ic import CompetitiveICModel
 from repro.diffusion.lt import CompetitiveLTModel
 from repro.diffusion.opoao import OPOAOModel
 from repro.errors import BackendUnavailableError, KernelError, UnsupportedModelError
+from repro.graph.compact import IndexedDiGraph
+from repro.kernels import registry as registry_module
 from repro.kernels.python_backend import PythonKernelBackend
-from repro.kernels.registry import (
-    available_backends,
-    register_backend,
-    resolve_backend,
-)
+from repro.kernels.registry import available_backends, resolve_backend
 from repro.kernels.spec import KernelSpec, spec_for_model
 from repro.kernels.worlds import WorldBatch
+from repro.rng import RngStream
+from repro.sketch.kernels import sample_worlds
+from repro.sketch.rrset import OPOAORRSampler
 
 
 def numpy_importable() -> bool:
@@ -52,8 +58,6 @@ class TestResolveBackend:
         assert ("numpy" in names) == numpy_importable()
 
     def test_missing_dependency_reported_with_install_hint(self, monkeypatch):
-        from repro.kernels import registry as registry_module
-
         def broken():
             raise ImportError("no such module")
 
@@ -65,17 +69,59 @@ class TestResolveBackend:
             resolve_backend("broken")
         assert "broken" not in available_backends()
 
-    def test_register_backend_replaces_and_resolves(self, monkeypatch):
-        from repro.kernels import registry as registry_module
 
-        monkeypatch.setattr(
-            registry_module, "_FACTORIES", dict(registry_module._FACTORIES)
-        )
-        monkeypatch.setattr(
-            registry_module, "_INSTANCES", dict(registry_module._INSTANCES)
-        )
-        register_backend("custom", PythonKernelBackend)
-        assert isinstance(resolve_backend("custom"), PythonKernelBackend)
+def block_numpy(monkeypatch):
+    """Make ``numpy`` resolve as a backend whose dependency is missing
+    (what a machine without NumPy sees), undone at test teardown."""
+
+    def broken():
+        raise ImportError("No module named 'numpy'")
+
+    monkeypatch.setitem(registry_module._FACTORIES, "numpy", broken)
+    monkeypatch.delitem(registry_module._INSTANCES, "numpy", raising=False)
+
+
+class TestSketchSampling:
+    """``sample_worlds`` resolves its ``backend`` through this registry."""
+
+    @pytest.fixture
+    def sampler(self):
+        # A 6-cycle with chords: the rumor at 0 reaches the ends 3 and 4.
+        out = [[1, 2], [2, 3], [3, 4], [4, 5], [5, 0], [0, 3]]
+        inn = [[] for _ in out]
+        for tail, heads in enumerate(out):
+            for head in heads:
+                inn[head].append(tail)
+        graph = IndexedDiGraph(list(range(6)), out, inn)
+        return OPOAORRSampler(graph, [0], [3, 4], steps=4, rng=RngStream(5))
+
+    def test_missing_dependency_maps_to_backend_unavailable(
+        self, monkeypatch, sampler
+    ):
+        """``backend="numpy"`` without NumPy names the ``perf`` extra."""
+        block_numpy(monkeypatch)
+        with pytest.raises(BackendUnavailableError, match="perf"):
+            sample_worlds(sampler, [0], backend="numpy")
+
+    def test_unknown_backend_raises(self, sampler):
+        with pytest.raises(KernelError, match="unknown kernel backend"):
+            sample_worlds(sampler, [0], backend="fortran")
+
+    def test_auto_degrades_to_fastest_available(self, monkeypatch, sampler):
+        """``auto``/``None`` sample the same worlds with or without NumPy."""
+        expected = [sampler.sample_world(index) for index in range(4)]
+        loaded = sample_worlds(sampler, range(4), backend="auto")
+        block_numpy(monkeypatch)
+        assert resolve_backend("auto").name == "python"
+        degraded = sample_worlds(sampler, range(4), backend=None)
+        for worlds in (loaded, degraded):
+            assert [world.index for world in worlds] == [0, 1, 2, 3]
+            assert [world.rr_sets for world in worlds] == [
+                world.rr_sets for world in expected
+            ]
+            assert [world.footprint for world in worlds] == [
+                world.footprint for world in expected
+            ]
 
 
 class TestSpecForModel:

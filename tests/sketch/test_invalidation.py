@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ValidationError
 from repro.graph.compact import IndexedDiGraph
 from repro.graph.generators import erdos_renyi
 from repro.rng import RngStream
@@ -197,14 +198,17 @@ class TestFootprintPersistence:
         ).load_state(state)
         assert restored._footprints == store._footprints
 
-    def test_pre_footprint_checkpoint_is_conservative(self):
-        """Old checkpoints (no footprints) restore as always-stale."""
+    def test_pre_footprint_checkpoint_is_rejected(self):
+        """A state with no footprints cannot be refreshed exactly, and no
+        sampler of this library writes one: loading it fails and leaves
+        the store empty."""
         graph = build_graph()
         store = opoao_store(graph)
         state = store.state_dict()
         state.pop("footprints")
         restored = SketchStore(
             OPOAORRSampler(graph, RUMOR, ENDS, steps=8, rng=RngStream(42))
-        ).load_state(state)
-        assert restored._footprints == [None] * restored.worlds
-        assert restored.stale_worlds([0]) == list(range(restored.worlds))
+        )
+        with pytest.raises(ValidationError, match="footprints"):
+            restored.load_state(state)
+        assert restored.worlds == 0 and restored.set_count == 0

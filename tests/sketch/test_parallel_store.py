@@ -50,9 +50,8 @@ class TestStoreBitIdentity:
 
     def test_doubling_rounds_match_up_front(self, fig2_context, two_workers):
         doubled = make_store(fig2_context, two_workers)
-        doubled.ensure_worlds(8)
-        doubled.double()
-        doubled.double()
+        for count in (8, 32, 64):
+            doubled.ensure_worlds(count)
         up_front = make_store(fig2_context).ensure_worlds(doubled.worlds)
         assert store_arrays(doubled) == store_arrays(up_front)
 

@@ -1,14 +1,15 @@
-"""Differential + oracle suite for the batched sketch kernels.
+"""Differential + oracle suite for :func:`repro.sketch.kernels.sample_worlds`.
 
 The contract under test (see :mod:`repro.sketch.kernels`): for every
-replica index, the ``numpy`` backend returns the same
+replica index, ``backend="numpy"`` returns the same
 :class:`~repro.sketch.rrset.WorldSample` — same ``rr_sets`` (roots and
 sorted members) and the same dependency ``footprint`` — as the
 per-world python samplers, for both OPOAO and DOAM semantics. Plus an
-exact small-graph oracle for the batched DOAM depth-bounded reverse
-BFS and registry degradation (this module runs in the no-NumPy CI job;
-vectorized cases skip themselves). The pick rule both backends share
-has its own unit tests in ``test_pick_rule.py``.
+exact small-graph oracle for the DOAM depth-bounded reverse BFS (this
+module runs in the no-NumPy CI job; vectorized cases skip themselves).
+Backend resolution is tested with the registry, in
+``tests/kernels/test_registry.py``. The pick rule both paths share has
+its own unit tests in ``test_pick_rule.py``.
 """
 
 from __future__ import annotations
@@ -19,18 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BackendUnavailableError, KernelError
 from repro.graph.compact import IndexedDiGraph
 from repro.graph.generators import erdos_renyi
+from repro.kernels.registry import available_backends
 from repro.rng import RngStream
 from repro.sketch import kernels
-from repro.sketch.kernels import (
-    PythonSketchKernel,
-    available_sketch_backends,
-    register_sketch_backend,
-    resolve_sketch_backend,
-    sample_worlds,
-)
+from repro.sketch.kernels import sample_worlds
 from repro.sketch.rrset import DOAMRRSampler, OPOAORRSampler
 from repro.sketch.store import SketchStore
 
@@ -78,15 +73,15 @@ class TestOPOAODifferential:
                 graph, RUMOR, ENDS, steps=steps, rng=RngStream(rng_seed)
             )
 
-        reference = resolve_sketch_backend("python").sample(sampler(), range(6))
-        vectorized = resolve_sketch_backend("numpy").sample(sampler(), range(6))
+        reference = sample_worlds(sampler(), range(6), backend="python")
+        vectorized = sample_worlds(sampler(), range(6), backend="numpy")
         assert_worlds_identical(reference, vectorized)
 
     def test_out_of_order_and_repeated_indices(self):
         graph = build_graph(3)
         sampler = OPOAORRSampler(graph, RUMOR, ENDS, steps=8, rng=RngStream(21))
         shuffled = [5, 0, 3, 3, 1]
-        vectorized = resolve_sketch_backend("numpy").sample(sampler, shuffled)
+        vectorized = sample_worlds(sampler, shuffled, backend="numpy")
         reference = [sampler.sample_world(index) for index in shuffled]
         assert_worlds_identical(reference, vectorized)
 
@@ -116,15 +111,15 @@ class TestOPOAODifferential:
                 graph, [hub, ends[0]], ends, steps=8, rng=RngStream(3)
             )
 
-        reference = resolve_sketch_backend("python").sample(sampler(), range(4))
-        vectorized = resolve_sketch_backend("numpy").sample(sampler(), range(4))
+        reference = sample_worlds(sampler(), range(4), backend="python")
+        vectorized = sample_worlds(sampler(), range(4), backend="numpy")
         assert_worlds_identical(reference, vectorized)
         assert any(world.rr_sets for world in reference)
 
     def test_horizon_past_frexp_range_defers_to_python(self):
         graph = build_graph(7)
         sampler = OPOAORRSampler(graph, RUMOR, ENDS, steps=60, rng=RngStream(9))
-        vectorized = resolve_sketch_backend("numpy").sample(sampler, range(3))
+        vectorized = sample_worlds(sampler, range(3), backend="numpy")
         reference = [sampler.sample_world(index) for index in range(3)]
         assert_worlds_identical(reference, vectorized)
 
@@ -156,9 +151,11 @@ class TestOPOAOBlocks:
         sampler = OPOAORRSampler(
             graph, RUMOR, ENDS, steps=steps, rng=RngStream(rng_seed)
         )
-        numpy_kernel = resolve_sketch_backend("numpy")
-        together = numpy_kernel.sample(sampler, indices)
-        alone = [numpy_kernel.sample(sampler, [index])[0] for index in indices]
+        together = sample_worlds(sampler, indices, backend="numpy")
+        alone = [
+            sample_worlds(sampler, [index], backend="numpy")[0]
+            for index in indices
+        ]
         reference = [sampler.sample_world(index) for index in indices]
         assert_worlds_identical(alone, together)
         assert_worlds_identical(reference, together)
@@ -170,7 +167,7 @@ class TestOPOAOBlocks:
         graph = build_graph(11, 0.15)
         sampler = OPOAORRSampler(graph, RUMOR, ENDS, steps=steps, rng=RngStream(5))
         indices = [7, 2, 9, 2, 0, 4, 11]
-        vectorized = resolve_sketch_backend("numpy").sample(sampler, indices)
+        vectorized = sample_worlds(sampler, indices, backend="numpy")
         reference = [sampler.sample_world(index) for index in indices]
         assert_worlds_identical(reference, vectorized)
         assert sum(len(world.rr_sets) for world in reference) > len(indices)
@@ -186,7 +183,7 @@ class TestOPOAOBlocks:
         indices = list(range(10))
         reference = [sampler.sample_world(index) for index in indices]
         assert max(len(world.rr_sets) for world in reference) > rows_per_slack
-        vectorized = resolve_sketch_backend("numpy").sample(sampler, indices)
+        vectorized = sample_worlds(sampler, indices, backend="numpy")
         assert_worlds_identical(reference, vectorized)
 
     def test_block_with_a_world_that_has_no_at_risk_end(self):
@@ -199,13 +196,13 @@ class TestOPOAOBlocks:
         reference = [sampler.sample_world(index) for index in range(8)]
         assert any(world.rr_sets for world in reference)
         assert any(not world.rr_sets for world in reference)
-        vectorized = resolve_sketch_backend("numpy").sample(sampler, range(8))
+        vectorized = sample_worlds(sampler, range(8), backend="numpy")
         assert_worlds_identical(reference, vectorized)
 
     def test_no_bridge_ends(self):
         graph = build_graph(3)
         sampler = OPOAORRSampler(graph, RUMOR, [], steps=4, rng=RngStream(2))
-        vectorized = resolve_sketch_backend("numpy").sample(sampler, range(3))
+        vectorized = sample_worlds(sampler, range(3), backend="numpy")
         reference = [sampler.sample_world(index) for index in range(3)]
         assert_worlds_identical(reference, vectorized)
 
@@ -223,35 +220,34 @@ def _bfs_distances(adjacency, sources):
     return distance
 
 
-@needs_numpy
 class TestDOAMDifferentialAndOracle:
+    @needs_numpy
     @settings(max_examples=15, deadline=None)
     @given(graph_seed=st.integers(min_value=0, max_value=50))
     def test_bit_identical(self, graph_seed):
         graph = build_graph(graph_seed)
-        reference = resolve_sketch_backend("python").sample(
-            DOAMRRSampler(graph, RUMOR, ENDS), [0]
+        reference = sample_worlds(
+            DOAMRRSampler(graph, RUMOR, ENDS), [0], backend="python"
         )
-        vectorized = resolve_sketch_backend("numpy").sample(
-            DOAMRRSampler(graph, RUMOR, ENDS), [0]
+        vectorized = sample_worlds(
+            DOAMRRSampler(graph, RUMOR, ENDS), [0], backend="numpy"
         )
         assert_worlds_identical(reference, vectorized)
 
     @settings(max_examples=15, deadline=None)
     @given(graph_seed=st.integers(min_value=0, max_value=50))
     def test_exact_reverse_ball_oracle(self, graph_seed):
-        """Batched DOAM == the brute-force membership criterion.
+        """DOAM worlds == the brute-force membership criterion.
 
         ``u in RR(v)`` iff ``d(u -> v) <= t_R(v)`` (Theorem 2), checked
-        against plain BFS distances with no shared code.
+        against plain BFS distances with no shared code, on
+        ``sample_worlds``' default backend.
         """
         graph = build_graph(graph_seed)
         out = [list(graph.out[node]) for node in range(graph.node_count)]
         inn = [list(graph.inn[node]) for node in range(graph.node_count)]
         arrival = _bfs_distances(out, RUMOR)
-        world = resolve_sketch_backend("numpy").sample(
-            DOAMRRSampler(graph, RUMOR, ENDS), [0]
-        )[0]
+        world = sample_worlds(DOAMRRSampler(graph, RUMOR, ENDS), [0])[0]
         rr_by_root = dict(world.rr_sets)
         assert sorted(rr_by_root) == sorted(
             end for end in ENDS if end in arrival
@@ -267,45 +263,38 @@ class TestDOAMDifferentialAndOracle:
             )
             assert members == oracle
 
-    def test_cache_priming_preserves_forget_semantics(self):
+    def test_world_follows_apply_updates(self):
+        """The cached world is keyed on ``graph.version``: after an
+        in-place update the sampler serves the mutated graph's world."""
         graph = build_graph(4)
         sampler = DOAMRRSampler(graph, RUMOR, ENDS)
-        resolve_sketch_backend("numpy").sample(sampler, [0])
-        assert sampler._cached is not None
-        sampler.forget()
-        assert sampler._cached is None
+        before = sample_worlds(sampler, [0])[0]
+        # Every end gets a direct rumor in-edge, so its arrival becomes 1.
+        shortcut = [
+            (RUMOR[0], end) for end in ENDS if end not in graph.out[RUMOR[0]]
+        ]
+        graph.apply_updates(shortcut, [])
+        after = sample_worlds(sampler, [0])[0]
+        fresh = DOAMRRSampler(graph, RUMOR, ENDS).sample_world(0)
+        assert after.rr_sets != before.rr_sets
+        assert_worlds_identical([fresh], [after])
 
 
 class TestRegistry:
+    """``sample_worlds`` on the registry's python backend; resolution
+    (unknown names, missing NumPy, ``auto``) is tested with the registry
+    in ``tests/kernels/test_registry.py``."""
+
     def test_python_backend_always_available(self):
-        assert "python" in available_sketch_backends()
-        assert resolve_sketch_backend("python").name == "python"
-
-    def test_auto_degrades_to_fastest_available(self):
-        backend = resolve_sketch_backend(None)
-        assert backend.name == ("numpy" if HAVE_NUMPY else "python")
-        assert resolve_sketch_backend("auto").name == backend.name
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(KernelError):
-            resolve_sketch_backend("fortran")
-
-    def test_missing_dependency_maps_to_backend_unavailable(self):
-        def broken():
-            raise ImportError("no such module")
-
-        register_sketch_backend("broken-dep", broken)
-        try:
-            with pytest.raises(BackendUnavailableError):
-                resolve_sketch_backend("broken-dep")
-        finally:
-            kernels._FACTORIES.pop("broken-dep", None)
-            kernels._INSTANCES.pop("broken-dep", None)
+        assert "python" in available_backends()
+        graph = build_graph(2)
+        sampler = OPOAORRSampler(graph, RUMOR, ENDS, steps=6, rng=RngStream(8))
+        assert len(sample_worlds(sampler, [0], backend="python")) == 1
 
     def test_python_kernel_delegates_to_sampler(self):
         graph = build_graph(2)
         sampler = OPOAORRSampler(graph, RUMOR, ENDS, steps=6, rng=RngStream(8))
-        worlds = PythonSketchKernel().sample(sampler, range(3))
+        worlds = sample_worlds(sampler, range(3), backend="python")
         assert_worlds_identical(
             [sampler.sample_world(index) for index in range(3)], worlds
         )

@@ -22,7 +22,9 @@ class FakeSampler:
 
     def sample_world(self, index):
         self.calls.append(index)
-        return WorldSample(index, self.script[index % len(self.script)])
+        rr_sets = self.script[index % len(self.script)]
+        footprint = {node for root, members in rr_sets for node in (root, *members)}
+        return WorldSample(index, rr_sets, footprint=footprint)
 
 
 @pytest.fixture
@@ -46,13 +48,14 @@ class TestGrowth:
         assert scripted.calls == [0, 1, 2, 3]
 
     def test_double(self, scripted):
-        store = SketchStore(scripted)
-        store.double(minimum=4)
-        assert store.worlds == 4
-        store.double()
-        assert store.worlds == 32  # max(minimum=32, 2 * 4)
-        store.double()
-        assert store.worlds == 64
+        """Doubling rounds extend the sample; earlier worlds stay put."""
+        store = SketchStore(scripted).ensure_worlds(4)
+        first = [store.members(set_id) for set_id in range(store.set_count)]
+        for target in (8, 16):
+            store.ensure_worlds(2 * store.worlds)
+            assert store.worlds == target
+        assert scripted.calls == list(range(16))
+        assert [store.members(set_id) for set_id in range(len(first))] == first
 
     def test_deterministic_sampler_clamps_to_one(self, toy_context):
         store = SketchStore(sampler_for("doam", toy_context))

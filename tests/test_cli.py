@@ -28,6 +28,36 @@ class TestParser:
         assert f"{flag} needs --workers" in capsys.readouterr().err
 
 
+class TestLibraryErrors:
+    """A library error exits 2 with one stderr line, not a traceback."""
+
+    def test_invalid_parameter_value(self, capsys):
+        code = main(
+            ["select", "--dataset", "hep", "--scale", "-1", "--algorithm", "scbg"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro: error: ValidationError: scale must be > 0, got -1.0\n"
+        )
+
+    def test_backend_without_its_dependency(self, capsys, monkeypatch):
+        from repro.kernels import registry
+
+        def no_numpy():
+            raise ImportError("No module named 'numpy'")
+
+        monkeypatch.setitem(registry._FACTORIES, "numpy", no_numpy)
+        monkeypatch.delitem(registry._INSTANCES, "numpy", raising=False)
+        argv = ["select", "--dataset", "hep", "--scale", "0.02"]
+        argv += ["--algorithm", "greedy", "--budget", "1", "--backend", "numpy"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: BackendUnavailableError: ")
+        assert "perf" in err and err.count("\n") == 1
+
+
 class TestCommands:
     def test_datasets(self, capsys):
         assert main(["datasets"]) == 0
