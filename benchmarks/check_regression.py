@@ -6,8 +6,10 @@ CI runs the perf benchmarks under ``REPRO_BENCH_FAST=1``; each emits a
 documents' **work counters** — RR sets sampled, sigma evaluations, BFS
 node/edge visits, and friends — against the checked-in baselines in
 ``benchmarks/baselines/`` and fails when any counter grew by more than
-the tolerance (default 10%), or when a result emits a counter its
-baseline does not record.
+the tolerance (default 10%), when a result emits a counter its
+baseline does not record, or when a result no longer emits a counter
+or gauge its baseline records (gauge values are context, not work, and
+are not compared).
 
 Counters, not wall clock: every counter is a deterministic function of
 the seeded RNG streams (:mod:`repro.rng` derives substreams via
@@ -59,9 +61,9 @@ def compare_documents(
     """Compare one result against its baseline.
 
     Returns ``(failures, notes)``: failures are gate-breaking strings
-    (config mismatch, missing counter, growth beyond ``tolerance``, a
-    counter the baseline does not record); notes are informational
-    (counters that shrank).
+    (config mismatch, missing counter or gauge, growth beyond
+    ``tolerance``, a counter the baseline does not record); notes are
+    informational (counters that shrank).
     """
     failures: List[str] = []
     notes: List[str] = []
@@ -102,6 +104,12 @@ def compare_documents(
         failures.append(
             f"new counter {name!r}={new_counters[name]} has no baseline "
             f"(record it in the baseline, or run with --update)"
+        )
+    new_gauges = result.get("gauges", {})
+    for name in sorted(set(baseline.get("gauges", {})) - set(new_gauges)):
+        failures.append(
+            f"gauge {name!r} missing from current results (drop it from "
+            f"the baseline if the benchmark no longer sets it)"
         )
     return failures, notes
 

@@ -16,9 +16,12 @@ Mechanics, exactly as the paper describes them:
 
 Implementation notes
 --------------------
-:func:`opoao_race` is the race. Its picks come from the run's stream
-in the per-run model and from a sampled world in the python kernel
-backend.
+:func:`opoao_race` is the race. It asks ``picks(nodes, hop)`` once per
+hop for the targets of that hop's live nodes, in ascending id order.
+The per-run model draws them from the run's stream in one
+:meth:`~repro.rng.RngStream.choice_each` call (the same draws as one
+``randrange`` per node); the python kernel backend reads them from a
+sampled world's row for the hop.
 
 Active nodes whose out-neighborhoods contain no inactive node can never
 change the outcome; the race keeps a ``live`` set of active nodes that
@@ -26,13 +29,17 @@ still have at least one inactive out-neighbor and only picks targets for
 those. The skipped nodes' picks are independent uniform draws that cannot
 hit an inactive node, so dropping them leaves the process distribution
 unchanged while making dense late-stage hops cheap. ``live`` is
-maintained incrementally via per-node inactive-out-neighbor counters.
+maintained incrementally through a flat per-node list of
+inactive-out-neighbor counters: a node activating decrements its
+in-neighbors' counts, and an active node is live while its count is
+not 0.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Set
+from bisect import bisect_right
+from itertools import accumulate, chain
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.diffusion.base import (
     INACTIVE,
@@ -53,13 +60,16 @@ def opoao_race(
     seeds: CascadeSet,
     trace: HopTrace,
     max_hops: int,
-    pick: Callable[[int, int], int],
+    picks: Callable[[List[int], int], Sequence[int]],
 ) -> int:
     """OPOAO race: every live node picks one out-neighbor per hop.
 
-    ``pick(node, hop)`` returns ``node``'s target at the race's step
-    ``hop``. Live nodes (active, with an inactive out-neighbor) pick in
-    ascending id order. A pick on an active node is wasted, and a target
+    ``states`` and ``trace`` start as
+    :func:`~repro.diffusion.base.seeded_start` leaves them: the seeds
+    are the only active nodes. ``picks(nodes, hop)`` returns the targets
+    of ``nodes``, the hop's live nodes (active, with an inactive
+    out-neighbor) in ascending id order, at the race's step ``hop``: one
+    call per hop. A pick on an active node is wasted, and a target
     picked by several cascades goes to the earliest in
     ``seeds.priority``. Every hop is recorded, even one that activates
     nothing, until no node is live or ``max_hops`` hops have run.
@@ -71,44 +81,36 @@ def opoao_race(
     inn = graph.inn
     order = seeds.priority
 
-    # inactive-out-neighbor counters for active nodes.
-    inactive_out: Dict[int, int] = {}
+    # Inactive out-neighbors of every node, kept exact as nodes activate;
+    # the live nodes are the active ones whose count is not 0.
+    inactive_out = list(map(len, out))
     live: Set[int] = set()
 
-    def enroll(node: int) -> None:
-        """Start tracking a newly active node."""
-        count = sum(1 for neighbor in out[node] if states[neighbor] == INACTIVE)
-        if count > 0:
-            inactive_out[node] = count
-            live.add(node)
-
-    def on_activated(node: int) -> None:
-        """Update counters of active in-neighbors after ``node`` activates."""
-        for tail in inn[node]:
-            remaining = inactive_out.get(tail)
-            if remaining is not None:
-                if remaining == 1:
-                    del inactive_out[tail]
+    def activate(nodes: List[int]) -> None:
+        """Count ``nodes`` (just set active in ``states``) as active."""
+        for node in nodes:
+            for tail in inn[node]:
+                remaining = inactive_out[tail] - 1
+                inactive_out[tail] = remaining
+                if not remaining:
                     live.discard(tail)
-                else:
-                    inactive_out[tail] = remaining - 1
+        # After every decrement: a node active this hop may have lost
+        # its last inactive out-neighbor to another one.
+        live.update(filter(inactive_out.__getitem__, nodes))
 
-    for seed in seeds.all_seeds():
-        enroll(seed)
-
-    picks = 0
+    activate(list(seeds.all_seeds()))
+    total = 0
     for hop in range(max_hops):
         if not live:
             break
-        picks += len(live)
+        # Sorted, so runs are reproducible under a fixed stream
+        # regardless of set-hash randomisation.
+        nodes = sorted(live)
+        total += len(nodes)
         targets: List[Set[int]] = [set() for _ in seeds.cascades]
-        # Deterministic iteration order (sorted) keeps runs reproducible
-        # under a fixed stream regardless of set-hash randomisation.
-        for node in sorted(live):
-            target = pick(node, hop)
-            if states[target] != INACTIVE:
-                continue  # repeat selection wasted on an active neighbor
-            targets[states[node] - 1].add(target)
+        for node, target in zip(nodes, picks(nodes, hop)):
+            if states[target] == INACTIVE:  # else repeat selection wasted
+                targets[states[node] - 1].add(target)
         # Priority resolves conflicts: later cascades in the order
         # drop targets an earlier cascade claimed this hop.
         claimed: Set[int] = set()
@@ -121,18 +123,9 @@ def opoao_race(
             state = cascade + 1
             for node in new:
                 states[node] = state
-        # All counter decrements must land before any enroll: enroll
-        # counts with post-activation states, so running on_activated
-        # for a co-activated out-neighbor afterwards would decrement
-        # the same edge twice and silence a still-live node.
-        for new in news:
-            for node in new:
-                on_activated(node)
-        for new in news:
-            for node in new:
-                enroll(node)
+        activate(list(chain.from_iterable(news)))
         trace.record_cascades(news)
-    return picks
+    return total
 
 
 class OPOAOModel(DiffusionModel):
@@ -154,35 +147,34 @@ class OPOAOModel(DiffusionModel):
 
     def _picker(
         self, graph: IndexedDiGraph, rng: RngStream
-    ) -> Callable[[int, int], int]:
-        """``pick(node, hop)`` on the run's stream: a uniform out-neighbor,
-        or, when ``weighted``, one drawn proportionally to edge weight."""
+    ) -> Callable[[List[int], int], List[int]]:
+        """``picks(nodes, hop)`` on the run's stream: a uniform out-neighbor
+        of each node, or, when ``weighted``, one drawn proportionally to
+        edge weight."""
         out = graph.out
-        randrange = rng.randrange
         if not self.weighted:
-            return lambda node, hop: out[node][randrange(len(out[node]))]
+            choice_each = rng.choice_each
+            return lambda nodes, hop: choice_each(map(out.__getitem__, nodes))
+        randrange = rng.randrange
         random = rng.random
         cumulative: Dict[int, List[float]] = {}
 
-        def weighted_pick(node: int, hop: int) -> int:
-            neighbors = out[node]
-            if len(neighbors) == 1:
-                return neighbors[randrange(1)]
-            table = cumulative.get(node)
-            if table is None:
-                weights = accumulate(graph.out_weights[node], initial=0.0)
-                table = cumulative[node] = list(weights)[1:]
-            target_mass = random() * table[-1]
-            lo, hi = 0, len(table) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if table[mid] <= target_mass:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            return neighbors[lo]
+        def weighted_picks(nodes: List[int], hop: int) -> List[int]:
+            targets = []
+            for node in nodes:
+                neighbors = out[node]
+                if len(neighbors) == 1:
+                    targets.append(neighbors[randrange(1)])
+                    continue
+                table = cumulative.get(node)
+                if table is None:
+                    weights = accumulate(graph.out_weights[node], initial=0.0)
+                    table = cumulative[node] = list(weights)[1:]
+                mass = random() * table[-1]
+                targets.append(neighbors[bisect_right(table, mass, 0, len(table) - 1)])
+            return targets
 
-        return weighted_pick
+        return weighted_picks
 
     def _spread(
         self,
@@ -194,8 +186,9 @@ class OPOAOModel(DiffusionModel):
         max_hops: int,
     ) -> None:
         assert rng is not None  # guaranteed by DiffusionModel.run
-        pick = self._picker(graph, rng)
-        picks = opoao_race(graph, states, seeds, trace, max_hops, pick)
+        picks = opoao_race(
+            graph, states, seeds, trace, max_hops, self._picker(graph, rng)
+        )
         registry = metrics()
         if registry.enabled:
             # every live node examines one sampled out-edge per step

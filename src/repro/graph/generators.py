@@ -23,6 +23,7 @@ deterministic given it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
@@ -210,16 +211,10 @@ def powerlaw_sizes(
 
 
 def _weighted_index(cumulative: Sequence[float], rng: RngStream) -> int:
-    """Sample an index proportional to the gaps of a cumulative-sum table."""
+    """Sample an index proportional to the gaps of a cumulative-sum table:
+    the first ``i`` with ``cumulative[i] > target``, clamped to the last."""
     target = rng.random() * cumulative[-1]
-    lo, hi = 0, len(cumulative) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cumulative[mid] <= target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return bisect_right(cumulative, target, 0, len(cumulative) - 1)
 
 
 def powerlaw_community_digraph(

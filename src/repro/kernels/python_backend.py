@@ -51,8 +51,8 @@ class PythonKernelBackend(KernelBackend):
                 thresholds = _rows(worlds, "thresholds")[world]
                 threshold_race(graph, states, seeds, trace, max_hops, thresholds)
             else:  # opoao (spec validated upstream)
-                pick = _picker(graph, _rows(worlds, "picks")[world])
-                opoao_race(graph, states, seeds, trace, max_hops, pick)
+                picks = _picker(graph, _rows(worlds, "picks")[world])
+                opoao_race(graph, states, seeds, trace, max_hops, picks)
             rows.append(states)
             traces.append(trace)
         # Hop-major series, short worlds padded with their final (frozen)
@@ -77,16 +77,20 @@ def _rows(worlds: WorldBatch, key: str):
     return data
 
 
-def _picker(graph: IndexedDiGraph, draws) -> Callable[[int, int], int]:
-    """OPOAO's ``pick(node, hop)`` on one world: the out-neighbor
-    ``floor(r * d_out)`` of the node's draw ``r = draws[hop][node]``."""
+def _picker(graph: IndexedDiGraph, draws) -> Callable[[List[int], int], List[int]]:
+    """OPOAO's ``picks(nodes, hop)`` on one world: each node's out-neighbor
+    ``floor(r * d_out)`` of its draw ``r = draws[hop][node]``."""
     out = graph.out
 
-    def pick(node: int, hop: int) -> int:
-        neighbors = out[node]
-        degree = len(neighbors)
-        index = int(draws[hop][node] * degree)
-        # r == 1.0 cannot happen, but stay safe
-        return neighbors[index if index < degree else degree - 1]
+    def picks(nodes: List[int], hop: int) -> List[int]:
+        row = draws[hop]
+        targets = []
+        for node in nodes:
+            neighbors = out[node]
+            degree = len(neighbors)
+            index = int(row[node] * degree)
+            # r == 1.0 cannot happen, but stay safe
+            targets.append(neighbors[index if index < degree else degree - 1])
+        return targets
 
-    return pick
+    return picks

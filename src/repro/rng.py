@@ -30,7 +30,17 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 __all__ = [
     "EventOrder",
@@ -241,6 +251,28 @@ class RngStream:
     def randrange(self, stop: int) -> int:
         """Uniform integer in [0, stop)."""
         return self._rng.randrange(stop)
+
+    def choice_each(self, rows: Iterable[Sequence[T]]) -> List[T]:
+        """One uniform element of each non-empty row, in one call.
+
+        Returns ``[row[self.randrange(len(row))] for row in rows]`` and
+        leaves the stream in the same state: CPython's ``randrange``
+        rule, ``getrandbits(len(row).bit_length())`` redrawn while it is
+        ``>= len(row)``, run in one frame instead of three per row.
+        """
+        getrandbits = self._rng.getrandbits
+        chosen: List[T] = []
+        append = chosen.append
+        for row in rows:
+            stop = len(row)
+            bits = stop.bit_length()
+            index = getrandbits(bits)
+            while index >= stop:
+                if not stop:  # getrandbits(0) is 0: it would redraw forever
+                    raise ValueError("choice_each() got an empty row")
+                index = getrandbits(bits)
+            append(row[index])
+        return chosen
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] inclusive."""

@@ -1,10 +1,19 @@
 """Unit tests for the OPOAO model (Section III.A)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.diffusion.base import INACTIVE, INFECTED, PROTECTED, SeedSets
-from repro.diffusion.opoao import OPOAOModel
+from repro.diffusion.base import (
+    INACTIVE,
+    INFECTED,
+    PROTECTED,
+    SeedSets,
+    seeded_start,
+)
+from repro.diffusion.opoao import OPOAOModel, opoao_race
 from repro.graph.digraph import DiGraph
 from repro.rng import RngStream
+from tests.diffusion.test_legacy_differential import diffusion_instances
 
 
 def run(graph, rumors, protectors=(), rng=None, max_hops=50):
@@ -106,3 +115,42 @@ class TestTermination:
         g = DiGraph.from_edges([(i, i + 1) for i in range(30)])
         _, outcome = run(g, rumors=[0], max_hops=5)
         assert outcome.infected_count == 6
+
+
+def live_nodes(graph, states):
+    """Active nodes with an inactive out-neighbor, in ascending id order."""
+    return [
+        node
+        for node in range(graph.node_count)
+        if states[node] != INACTIVE
+        and any(states[head] == INACTIVE for head in graph.out[node])
+    ]
+
+
+class TestPicksContract:
+    """``opoao_race`` asks ``picks`` once per hop for the live nodes."""
+
+    @given(diffusion_instances(), st.integers(0, 200), st.integers(0, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_one_call_per_hop_with_ascending_live_nodes(
+        self, instance, seed, max_hops
+    ):
+        graph, rumors, protectors = instance
+        indexed = graph.to_indexed()
+        seeds = SeedSets(rumors=rumors, protectors=protectors)
+        states, trace = seeded_start(indexed.node_count, seeds)
+        uniform = OPOAOModel()._picker(indexed, RngStream(seed))
+        calls = []
+
+        def picks(nodes, hop):
+            assert nodes == live_nodes(indexed, states)
+            calls.append((hop, len(nodes)))
+            return uniform(nodes, hop)
+
+        total = opoao_race(indexed, states, seeds, trace, max_hops, picks)
+        assert [hop for hop, _ in calls] == list(range(len(calls)))
+        assert len(calls) == trace.hops - 1  # hop 0 holds the seeds
+        assert all(count > 0 for _, count in calls)
+        assert total == sum(count for _, count in calls)
+        if len(calls) < max_hops:  # it stopped early: no node is live
+            assert live_nodes(indexed, states) == []

@@ -1,12 +1,49 @@
 """Unit tests for the weighted diffusion variants."""
 
-import pytest
+from itertools import accumulate
 
-from repro.diffusion.base import INFECTED, SeedSets
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.diffusion.base import INFECTED, SeedSets, seeded_start
 from repro.diffusion.ic import CompetitiveICModel
-from repro.diffusion.opoao import OPOAOModel
+from repro.diffusion.opoao import OPOAOModel, opoao_race
 from repro.graph.digraph import DiGraph
 from repro.rng import RngStream
+from tests.diffusion.test_legacy_differential import diffusion_instances
+
+
+def frozen_weighted_pick(graph, rng):
+    """The weighted OPOAO ``pick(node, hop)`` as it drew before picks were
+    batched per hop: its draws per node, and its hand-written search."""
+    out = graph.out
+    cumulative = {}
+
+    def pick(node, hop):
+        neighbors = out[node]
+        if len(neighbors) == 1:
+            return neighbors[rng.randrange(1)]
+        table = cumulative.get(node)
+        if table is None:
+            weights = accumulate(graph.out_weights[node], initial=0.0)
+            table = cumulative[node] = list(weights)[1:]
+        target_mass = rng.random() * table[-1]
+        lo, hi = 0, len(table) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if table[mid] <= target_mass:
+                lo = mid + 1
+            else:
+                hi = mid
+        return neighbors[lo]
+
+    return pick
+
+
+def per_node(pick):
+    """``picks(nodes, hop)`` asking ``pick(node, hop)`` node by node."""
+    return lambda nodes, hop: [pick(node, hop) for node in nodes]
 
 
 class TestIndexedWeights:
@@ -63,6 +100,34 @@ class TestWeightedOpoao:
     def test_name_reflects_variant(self):
         assert OPOAOModel().name == "OPOAO"
         assert OPOAOModel(weighted=True).name == "OPOAO-W"
+
+    @given(
+        diffusion_instances(),
+        st.lists(st.sampled_from([0.25, 0.5, 1.0, 3.0]), min_size=36, max_size=36),
+        st.integers(0, 200),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_draws_match_frozen_per_node_picker(self, instance, weights, seed):
+        graph, rumors, protectors = instance
+        weighted = DiGraph()
+        weighted.add_nodes(graph.nodes())
+        for (tail, head), weight in zip(graph.edges(), weights):
+            weighted.add_edge(tail, head, weight=weight)
+        indexed = weighted.to_indexed()
+        seeds = SeedSets(
+            rumors=indexed.indices(rumors), protectors=indexed.indices(protectors)
+        )
+        runs = []
+        for batched in (True, False):
+            rng = RngStream(seed)
+            if batched:
+                picks = OPOAOModel(weighted=True)._picker(indexed, rng)
+            else:
+                picks = per_node(frozen_weighted_pick(indexed, rng))
+            states, trace = seeded_start(indexed.node_count, seeds)
+            total = opoao_race(indexed, states, seeds, trace, 12, picks)
+            runs.append((states, trace.series, trace.newly, total, rng.state_dict()))
+        assert runs[0] == runs[1]
 
 
 class TestWeightedIC:

@@ -1,9 +1,14 @@
 """Unit tests for random-graph generators."""
 
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.graph.generators import (
+    _weighted_index,
     barabasi_albert,
     erdos_renyi,
     planted_partition,
@@ -163,3 +168,72 @@ class TestPowerlawCommunityDigraph:
             300, 6.0, 0.1, rng, n_communities=7
         )
         assert len(set(membership.values())) == 7
+
+
+def frozen_weighted_index(cumulative, rng):
+    """``_weighted_index`` as it searched before it used ``bisect``."""
+    target = rng.random() * cumulative[-1]
+    lo, hi = 0, len(cumulative) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cumulative[mid] <= target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class FixedDraw:
+    """A stream stand-in whose ``random()`` returns one chosen value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@st.composite
+def tables_and_draws(draw):
+    """An integer cumulative table whose total is a power of two, so a
+    draw of ``entry / total`` lands exactly on ``entry``, plus a draw:
+    on an entry, or anywhere in [0, 1)."""
+    gaps = draw(st.lists(st.integers(0, 6), min_size=1, max_size=12))
+    table = [float(value) for value in accumulate(gaps)]
+    total = 1 << max(0, int(table[-1]) - 1).bit_length()
+    table[-1] = float(total)  # may tie the entry before it
+    on_entry = st.sampled_from(table).map(lambda entry: entry / total)
+    value = draw(st.one_of(on_entry, st.floats(0.0, 1.0, exclude_max=True)))
+    return table, value
+
+
+class TestWeightedIndex:
+    """The bisect search returns the frozen loop's index on every input."""
+
+    @given(tables_and_draws())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_frozen_loop(self, case):
+        table, value = case
+        expected = frozen_weighted_index(table, FixedDraw(value))
+        assert _weighted_index(table, FixedDraw(value)) == expected
+
+    @given(
+        st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_frozen_loop_on_a_stream(self, gaps, seed):
+        table = list(accumulate(gaps))
+        assert _weighted_index(table, RngStream(seed)) == frozen_weighted_index(
+            table, RngStream(seed)
+        )
+
+    def test_ties_and_exact_hits(self):
+        table = [1.0, 1.0, 3.0, 3.0, 4.0]
+        for value, index in ((0.0, 0), (0.25, 2), (0.5, 2), (0.75, 4), (0.9, 4)):
+            assert _weighted_index(table, FixedDraw(value)) == index
+            assert frozen_weighted_index(table, FixedDraw(value)) == index
+
+    def test_one_entry_table(self):
+        for value in (0.0, 0.5, 0.999):
+            assert _weighted_index([2.0], FixedDraw(value)) == 0

@@ -14,7 +14,7 @@ from benchmarks.check_regression import (
 )
 
 
-def _document(counters, name="perf_demo", fast=True, scale=0.05):
+def _document(counters, name="perf_demo", fast=True, scale=0.05, gauges=None):
     return {
         "schema": "repro.bench/v1",
         "name": name,
@@ -22,6 +22,7 @@ def _document(counters, name="perf_demo", fast=True, scale=0.05):
         "scale": scale,
         "wall_clock_seconds": 0.1,
         "counters": counters,
+        "gauges": gauges or {},
     }
 
 
@@ -72,6 +73,28 @@ class TestCompareDocuments:
         assert len(failures) == 1
         assert "'sketch.rrsets_sampled'" in failures[0]
         assert "no baseline" in failures[0]
+
+    def test_missing_gauge_fails(self):
+        failures, _ = compare_documents(
+            _document({"sim.rounds": 10}, gauges={"sketch.index_nodes": 1831.0}),
+            _document({"sim.rounds": 10}, gauges={"sketch.set_count": 269.0}),
+        )
+        assert len(failures) == 1
+        assert "gauge 'sketch.index_nodes' missing" in failures[0]
+
+    def test_gauge_values_are_not_gated(self):
+        failures, notes = compare_documents(
+            _document({"sim.rounds": 10}, gauges={"sketch.set_count": 269.0}),
+            _document({"sim.rounds": 10}, gauges={"sketch.set_count": 900.0}),
+        )
+        assert failures == [] and notes == []
+
+    def test_new_gauge_without_baseline_passes(self):
+        failures, _ = compare_documents(
+            _document({"sim.rounds": 10}),
+            _document({"sim.rounds": 10}, gauges={"sketch.set_count": 269.0}),
+        )
+        assert failures == []
 
     def test_config_mismatch_fails_before_counters(self):
         base = _document({"sim.rounds": 10}, scale=0.05)

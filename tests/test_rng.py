@@ -1,7 +1,24 @@
 """Unit tests for seeded RNG streams."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rng import DEFAULT_SEED, RngStream, derive_seed
+
+_POWERS = st.integers(0, 40).map(lambda k: 1 << k)
+
+#: Row lengths where ``randrange``'s rejection rule is easiest to get
+#: wrong: 1, powers of two and their neighbours, and stops past 2**32
+#: (more than one 32-bit word per draw).
+STOPS = st.one_of(
+    st.just(1),
+    _POWERS,
+    _POWERS.map(lambda power: power + 1),
+    _POWERS.map(lambda power: max(1, power - 1)),
+    st.integers(1, 1000),
+    st.integers(2**32 + 1, 2**48),
+)
 
 
 class TestDeriveSeed:
@@ -83,6 +100,39 @@ class TestStateDict:
         stream.random()
         round_tripped = json.loads(json.dumps(stream.state_dict()))
         assert RngStream.from_state(round_tripped).random() == stream.random()
+
+
+class TestChoiceEach:
+    """``choice_each`` is the per-row ``randrange`` loop in one call."""
+
+    @staticmethod
+    def assert_matches_randrange(seed, stops):
+        batched, looped = RngStream(seed), RngStream(seed)
+        rows = [range(stop) for stop in stops]
+        expected = [row[looped.randrange(len(row))] for row in rows]
+        assert batched.choice_each(rows) == expected
+        assert batched.state_dict() == looped.state_dict()
+
+    @given(st.integers(0, 2**32), st.lists(STOPS, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_randrange_loop(self, seed, stops):
+        self.assert_matches_randrange(seed, stops)
+
+    def test_named_stops(self):
+        stops = [1, 2, 3, 4, 5, 7, 8, 9, 2**31, 2**32 - 1, 2**32, 2**32 + 1]
+        for seed in range(20):
+            self.assert_matches_randrange(seed, stops * 3)
+
+    def test_returns_row_elements(self):
+        rows = [("a", "b", "c"), ("d",), ["e", "f"]]
+        chosen = RngStream(4).choice_each(rows)
+        assert [value in row for value, row in zip(chosen, rows)] == [True] * 3
+
+    def test_empty_row_rejected_like_randrange(self):
+        with pytest.raises(ValueError):
+            RngStream(1).randrange(0)
+        with pytest.raises(ValueError):
+            RngStream(1).choice_each([[1, 2], []])
 
 
 class TestEventOrder:
