@@ -84,8 +84,8 @@ class CELFGreedySelector(GreedySelector):
                 for order, node in enumerate(pool)
                 if node not in chosen_set
             ]
-            initial_gains = self._sigma_batch(
-                estimator, [chosen + [node] for _, node in remaining]
+            initial_gains = estimator.sigma_many(
+                [chosen + [node] for _, node in remaining]
             )
             for (order, node), sigma in zip(remaining, initial_gains):
                 marginal_calls += 1

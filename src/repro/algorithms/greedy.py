@@ -9,8 +9,10 @@ achieves (1 - 1/e)·OPT.
 
 Estimation
 ----------
-σ is estimated with **common random numbers**: replica ``i`` always runs on
-the stream ``rng.replica(i)``, whether protectors are seeded or not, so
+σ is estimated with **common random numbers**: replica ``i`` always races
+the same realisation — the stream ``rng.replica(i)``, or with a kernel
+``backend`` the world :class:`~repro.diffusion.simulation.Replicas`
+samples once for ``i`` — whether protectors are seeded or not, so
 ``PB(A)`` is evaluated on coupled realisations exactly as the proof's
 paired random graphs ``(G_R, G_P)``, and σ̂ is a *deterministic function of
 the set A* given the base stream. That determinism is what lets CELF
@@ -31,17 +33,31 @@ recovers the paper's literal search space.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from repro.algorithms.base import ProtectorSelector, SelectionContext
 from repro.bridge.bbst import build_all_bbsts
-from repro.diffusion.base import DEFAULT_MAX_HOPS, INFECTED, DiffusionModel, SeedSets
+from repro.diffusion.base import DEFAULT_MAX_HOPS, DiffusionModel, SeedSets
 from repro.diffusion.opoao import OPOAOModel
+from repro.diffusion.simulation import Replicas
 from repro.errors import SelectionError
+from repro.exec.pool import resolve_workers
 from repro.graph.digraph import Node
 from repro.obs.registry import metrics
 from repro.rng import RngStream
 from repro.utils.validation import check_fraction, check_positive
+
+if TYPE_CHECKING:
+    from repro.exec.pool import ParallelExecutor
 
 __all__ = ["SigmaEstimator", "GreedySelector", "candidate_pool"]
 
@@ -75,17 +91,95 @@ def candidate_pool(context: SelectionContext, pool: str = "bbst") -> List[Node]:
     return list(ordered)
 
 
+def checked_protector_ids(
+    context: SelectionContext, protectors: Iterable[Node], rumor_ids
+) -> List[int]:
+    """Node ids of ``protectors``, refusing any that is a rumor seed."""
+    ids = context.indexed.indices(dict.fromkeys(protectors))
+    overlap = set(ids) & set(rumor_ids)
+    if overlap:
+        raise SelectionError(f"protectors overlap rumor seeds: {sorted(overlap)[:5]}")
+    return ids
+
+
+#: the label that keys the kernel worlds of every σ̂ estimator.
+SIGMA_WORLDS = "sigma-worlds"
+
+
+def _race_end_sets(
+    replicas: Replicas, rumor_ids, protector_ids, end_ids
+) -> List[FrozenSet[int]]:
+    """Per-replica sets of bridge ends the rumor takes under ``protector_ids``.
+
+    The single code path every σ̂ evaluation goes through: serial calls
+    and pool workers make exactly these races, which is what keeps their
+    work counters and results identical.
+    """
+    outcome = replicas.race(SeedSets(rumors=rumor_ids, protectors=protector_ids))
+    return [
+        outcome.infected_members(world, end_ids) for world in range(outcome.batch)
+    ]
+
+
+def _sigma_from_race(race, protector_ids) -> float:
+    """One σ̂ evaluation on ``race = (replicas, rumor_ids, end_ids,
+    baseline)``, the state the estimator and its pool workers share."""
+    replicas, rumor_ids, end_ids, baseline = race
+    metrics().inc("selector.sigma_evaluations")
+    infected_now_per_replica = _race_end_sets(
+        replicas, rumor_ids, protector_ids, end_ids
+    )
+    saved_total = 0
+    for at_risk, infected_now in zip(baseline, infected_now_per_replica):
+        saved_total += len(at_risk - infected_now)
+    return saved_total / len(baseline)
+
+
+def _sigma_worker_setup(graph, payload):
+    """Pool worker set-up: rebuild the race from the payload.
+
+    Runs under the null registry (see :mod:`repro.exec.pool`): the
+    re-derived worlds and baseline race are redundant per-worker
+    preparation and must not inflate the merged work counters.
+    """
+    replicas = Replicas(
+        graph, payload["model"], range(payload["runs"]), payload["max_hops"],
+        payload["seed"], backend=payload["backend"], tag=SIGMA_WORLDS,
+    )
+    rumor_ids, end_ids = payload["rumor_ids"], payload["end_ids"]
+    baseline = _race_end_sets(replicas, rumor_ids, (), end_ids)
+    return replicas, rumor_ids, end_ids, baseline
+
+
+def _sigma_worker_chunk(race, chunk):
+    """Pool worker task: σ̂ for a chunk of resolved protector-id lists."""
+    return [_sigma_from_race(race, protector_ids) for protector_ids in chunk]
+
+
 class SigmaEstimator:
     """Coupled Monte-Carlo estimator of the protector influence σ(A).
 
     Args:
         context: the LCRB instance.
         model: diffusion model (OPOAO by default; any
-            :class:`~repro.diffusion.base.DiffusionModel` works, which is
-            how the extension benches run greedy under IC/LT).
-        runs: number of coupled replicas.
+            :class:`~repro.diffusion.base.DiffusionModel` works on the
+            per-run engine, which is how the extension benches run greedy
+            under IC/LT).
+        runs: number of coupled replicas (a deterministic model has one).
         max_hops: horizon per run (paper: 31).
-        rng: base stream; replica ``i`` always uses ``rng.replica(i)``.
+        rng: base stream; replica ``i`` always uses ``rng.replica(i)``, or
+            with a ``backend`` the world keyed by its seed and ``i`` (two
+            estimators built from equal streams see identical worlds).
+        backend: ``None`` runs the model per replica; a kernel backend
+            name (``"python"``/``"numpy"``/``"auto"``) races the
+            replicas' worlds in one batched call per σ̂, on worlds
+            sampled once. Every backend gives the same σ̂. Resolved on
+            construction; :attr:`backend` holds the resolved name.
+        executor: the :class:`~repro.exec.pool.ParallelExecutor` that
+            :meth:`sigma_many` fans candidate rounds out over, warm
+            across greedy/CELF rounds, on either engine; parallel
+            evaluation is bit-identical to serial (see
+            ``docs/parallel.md``). ``None`` runs serially.
     """
 
     def __init__(
@@ -95,74 +189,112 @@ class SigmaEstimator:
         runs: int = 30,
         max_hops: int = DEFAULT_MAX_HOPS,
         rng: Optional[RngStream] = None,
+        backend: Optional[str] = None,
+        executor: Optional["ParallelExecutor"] = None,
     ) -> None:
         self.context = context
         self.model = model or OPOAOModel()
-        self.runs = int(check_positive(runs, "runs"))
         self.max_hops = int(check_positive(max_hops, "max_hops"))
+        self.runs = (
+            int(check_positive(runs, "runs")) if self.model.stochastic else 1
+        )
+        self._executor = executor
         self.rng = rng or RngStream(name="sigma")
         self._rumor_ids = context.rumor_seed_ids()
         self._end_ids = context.bridge_end_ids()
+        self._replicas = Replicas(
+            context.indexed, self.model, range(self.runs), self.max_hops,
+            self.rng.seed, backend=backend, tag=SIGMA_WORLDS,
+        )
+        engine = self._replicas.backend
+        self.backend: Optional[str] = None if engine is None else engine.name
         self._baseline: Optional[List[FrozenSet[int]]] = None
         self.evaluations = 0  # σ̂ calls, for the CELF-vs-greedy ablation
 
-    def _infected_ends(self, protector_ids: Sequence[int], replica: int) -> FrozenSet[int]:
-        seeds = SeedSets(rumors=self._rumor_ids, protectors=protector_ids)
-        outcome = self.model.run(
-            self.context.indexed,
-            seeds,
-            rng=self.rng.replica(replica) if self.model.stochastic else None,
-            max_hops=self.max_hops,
-        )
-        return frozenset(
-            end for end in self._end_ids if outcome.states[end] == INFECTED
+    def infected_end_sets(
+        self, protector_ids: Sequence[int]
+    ) -> List[FrozenSet[int]]:
+        """Per-replica sets of bridge ends the rumor takes under ``A``."""
+        return _race_end_sets(
+            self._replicas, self._rumor_ids, protector_ids, self._end_ids
         )
 
     @property
     def baseline(self) -> List[FrozenSet[int]]:
         """Per-replica bridge ends infected with **no** protectors."""
         if self._baseline is None:
-            self._baseline = [
-                self._infected_ends((), replica) for replica in range(self.runs)
-            ]
+            self._baseline = self.infected_end_sets(())
         return self._baseline
+
+    def _protector_ids(self, protectors: Iterable[Node]) -> List[int]:
+        return checked_protector_ids(self.context, protectors, self._rumor_ids)
 
     def sigma(self, protectors: Iterable[Node]) -> float:
         """σ̂(A): mean size of the protector blocking set over replicas."""
-        protector_ids = self.context.indexed.indices(dict.fromkeys(protectors))
-        overlap = set(protector_ids) & set(self._rumor_ids)
-        if overlap:
-            raise SelectionError(f"protectors overlap rumor seeds: {sorted(overlap)[:5]}")
+        ids = self._protector_ids(protectors)
         self.evaluations += 1
-        metrics().inc("selector.sigma_evaluations")
-        saved_total = 0
-        for replica, at_risk in enumerate(self.baseline):
-            infected_now = self._infected_ends(protector_ids, replica)
-            saved_total += len(at_risk - infected_now)
-        return saved_total / self.runs
+        race = (self._replicas, self._rumor_ids, self._end_ids, self.baseline)
+        return _sigma_from_race(race, ids)
+
+    def sigma_many(
+        self, protector_sets: Sequence[Iterable[Node]]
+    ) -> List[float]:
+        """σ̂ for many candidate sets, fanned out over the worker pool.
+
+        Bit-identical to ``[self.sigma(s) for s in protector_sets]`` in
+        values, order, and merged work counters: the parent races its
+        own baseline exactly once (counted, as in serial), workers
+        re-derive worlds and baseline silently, and each candidate's
+        race is counted exactly once in whichever process runs it.
+        Without a multi-worker pool it is that loop.
+        """
+        executor = self._executor
+        if executor is None or resolve_workers(
+            executor.workers, len(protector_sets)
+        ) <= 1:
+            return [self.sigma(protectors) for protectors in protector_sets]
+        id_sets = [self._protector_ids(protectors) for protectors in protector_sets]
+        self.baseline  # noqa: B018 - parent races once, counted
+        sigmas = executor.map_items(
+            _sigma_worker_setup,
+            _sigma_worker_chunk,
+            {
+                "model": self.model,
+                "backend": self.backend,
+                "runs": self.runs,
+                "max_hops": self.max_hops,
+                "seed": self.rng.seed,
+                "rumor_ids": list(self._rumor_ids),
+                "end_ids": list(self._end_ids),
+            },
+            id_sets,
+            graph=self.context.indexed,
+        )
+        self.evaluations += len(id_sets)
+        return sigmas
 
     def protected_fraction(self, protectors: Iterable[Node]) -> float:
         """Mean fraction of bridge ends **not infected** at the end.
 
         Definition 2's protection level: a bridge end counts as protected
         when the rumor does not take it (whether actively protected or
-        simply never reached).
+        simply never reached). Races ``A`` alone, never the baseline.
         """
         if not self._end_ids:
             return 1.0
-        protector_ids = self.context.indexed.indices(dict.fromkeys(protectors))
+        protector_ids = self._protector_ids(protectors)
         self.evaluations += 1
         metrics().inc("selector.sigma_evaluations")
         safe_total = 0
-        for replica in range(self.runs):
-            infected_now = self._infected_ends(protector_ids, replica)
+        for infected_now in self.infected_end_sets(protector_ids):
             safe_total += len(self._end_ids) - len(infected_now)
         return safe_total / (self.runs * len(self._end_ids))
 
     def __repr__(self) -> str:
+        backend = f", backend={self.backend!r}" if self.backend else ""
         return (
             f"SigmaEstimator(model={self.model.name}, runs={self.runs}, "
-            f"max_hops={self.max_hops})"
+            f"max_hops={self.max_hops}{backend})"
         )
 
 
@@ -188,21 +320,19 @@ class GreedySelector(ProtectorSelector):
             tractability knob; ``None`` = no cap).
         rng: base stream (forked internally; the selector never mutates
             the caller's stream position).
-        backend: ``None`` estimates σ with the per-replica
-            :class:`SigmaEstimator`; a kernel backend name (``"python"``/
-            ``"numpy"``/``"auto"``) swaps in the batched
-            :class:`~repro.kernels.sigma.BatchedSigmaEvaluator` (same
-            coupled-worlds semantics, one vectorized sweep per σ̂ call;
-            every backend races the same worlds and picks the same set).
+        backend: the :class:`SigmaEstimator` engine: ``None`` runs the
+            model per replica; a kernel backend name (``"python"``/
+            ``"numpy"``/``"auto"``) races sampled worlds in one batched
+            call per σ̂ (every backend races the same worlds and picks the
+            same set).
         checkpoint: a path or :class:`~repro.exec.checkpoint.\
             CheckpointStore`; when set, every completed selection round
             is saved, and a matching checkpoint resumes from its chosen
             prefix — finishing bit-identical to an uninterrupted run.
         executor: a :class:`~repro.exec.pool.ParallelExecutor` handed
-            down to the batched estimator so σ̂ rounds fan out over one
-            warm pool (e.g. the CLI-owned pool). Only the batched
-            estimator can fan out, so this needs ``backend``; selections
-            are bit-identical whatever the worker count. ``None`` runs
+            down to the estimator so σ̂ rounds fan out over one warm pool
+            (e.g. the CLI-owned pool), on either engine; selections are
+            bit-identical whatever the worker count. ``None`` runs
             serially.
     """
 
@@ -240,32 +370,15 @@ class GreedySelector(ProtectorSelector):
     # -- shared machinery (CELF subclasses reuse these) -------------------------
 
     def make_estimator(self, context: SelectionContext) -> SigmaEstimator:
-        """Build the σ estimator bound to this selector's settings.
-
-        With a kernel ``backend`` configured this returns a
-        :class:`~repro.kernels.sigma.BatchedSigmaEvaluator`, which is
-        duck-compatible with :class:`SigmaEstimator` for everything the
-        selection loop consumes (``sigma``, ``protected_fraction``,
-        ``evaluations``).
-        """
-        if self.backend is not None:
-            from repro.kernels.sigma import BatchedSigmaEvaluator
-
-            return BatchedSigmaEvaluator(
-                context,
-                model=self.model,
-                runs=self.runs,
-                max_hops=self.max_hops,
-                rng=self.rng.fork("sigma"),
-                backend=self.backend,
-                executor=self.executor,
-            )
+        """Build the σ estimator bound to this selector's settings."""
         return SigmaEstimator(
             context,
             model=self.model,
             runs=self.runs,
             max_hops=self.max_hops,
             rng=self.rng.fork("sigma"),
+            backend=self.backend,
+            executor=self.executor,
         )
 
     def candidates(self, context: SelectionContext) -> List[Node]:
@@ -277,20 +390,6 @@ class GreedySelector(ProtectorSelector):
             nodes.sort(key=lambda node: (-coverage.get(node, 0), order[node]))
             nodes = nodes[: self.max_candidates]
         return nodes
-
-    @staticmethod
-    def _sigma_batch(estimator, candidate_sets: List[List[Node]]) -> List[float]:
-        """σ̂ for a whole round of candidate sets, in order.
-
-        Routed through the estimator's ``sigma_many`` when it has one
-        (the batched evaluator fans the round out over its worker pool);
-        otherwise a plain per-set loop. Both paths return the same
-        values in the same order, so the selection below is identical.
-        """
-        batched = getattr(estimator, "sigma_many", None)
-        if batched is not None:
-            return batched(candidate_sets)
-        return [estimator.sigma(candidate) for candidate in candidate_sets]
 
     def _stop(
         self,
@@ -395,9 +494,7 @@ class GreedySelector(ProtectorSelector):
                     )
                 break
             remaining = [node for node in pool if node not in chosen_set]
-            sigmas = self._sigma_batch(
-                estimator, [chosen + [node] for node in remaining]
-            )
+            sigmas = estimator.sigma_many([chosen + [node] for node in remaining])
             marginal_calls += len(remaining)
             best_node: Optional[Node] = None
             best_sigma = -1.0

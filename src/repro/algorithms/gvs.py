@@ -10,8 +10,9 @@ objective-comparison example).
 
 The estimator reuses the common-random-numbers discipline of
 :class:`repro.algorithms.greedy.SigmaEstimator`: replica ``i`` always runs
-on ``rng.replica(i)``, making the objective a deterministic function of
-the candidate set.
+on ``rng.replica(i)`` (one :class:`~repro.diffusion.simulation.Replicas`
+race per estimate), making the objective a deterministic function of the
+candidate set.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Set
 
 from repro.algorithms.base import ProtectorSelector, SelectionContext
-from repro.algorithms.greedy import candidate_pool
+from repro.algorithms.greedy import candidate_pool, checked_protector_ids
 from repro.diffusion.base import DEFAULT_MAX_HOPS, DiffusionModel, SeedSets
 from repro.diffusion.doam import DOAMModel
+from repro.diffusion.simulation import Replicas
 from repro.errors import SelectionError
 from repro.graph.digraph import Node
 from repro.rng import RngStream
@@ -56,27 +58,18 @@ class InfectionEstimator:
         self.max_hops = int(check_positive(max_hops, "max_hops"))
         self.rng = rng or RngStream(name="gvs")
         self._rumor_ids = context.rumor_seed_ids()
+        self._replicas = Replicas(
+            context.indexed, self.model, range(self.runs), self.max_hops,
+            self.rng.seed,
+        )
         self.evaluations = 0
 
     def expected_infections(self, protectors: Iterable[Node]) -> float:
         """Mean infected-node count when ``protectors`` are seeded."""
-        protector_ids = self.context.indexed.indices(dict.fromkeys(protectors))
-        overlap = set(protector_ids) & set(self._rumor_ids)
-        if overlap:
-            raise SelectionError(
-                f"protectors overlap rumor seeds: {sorted(overlap)[:5]}"
-            )
+        ids = checked_protector_ids(self.context, protectors, self._rumor_ids)
         self.evaluations += 1
-        seeds = SeedSets(rumors=self._rumor_ids, protectors=protector_ids)
-        total = 0
-        for replica in range(self.runs):
-            outcome = self.model.run(
-                self.context.indexed,
-                seeds,
-                rng=self.rng.replica(replica) if self.model.stochastic else None,
-                max_hops=self.max_hops,
-            )
-            total += outcome.infected_count
+        outcome = self._replicas.race(SeedSets(rumors=self._rumor_ids, protectors=ids))
+        total = sum(outcome.final_infected(world) for world in range(outcome.batch))
         return total / self.runs
 
 

@@ -60,8 +60,8 @@ class RISGreedySelector(ProtectorSelector):
         rng: base stream for world sampling.
         verify_backend: optional kernel backend name; when set, every
             ``select`` cross-checks the picked set with an independent
-            batched simulation (:class:`~repro.kernels.sigma.\
-BatchedSigmaEvaluator`) and records the achieved protected fraction in
+            batched simulation (:class:`~repro.algorithms.greedy.\
+SigmaEstimator` on the kernel) and records the achieved protected fraction in
             :attr:`last_kernel_protected_fraction` and the
             ``ris.kernel_protected_fraction`` gauge.
         verify_runs: coupled worlds for the verification estimate.
@@ -216,12 +216,12 @@ BatchedSigmaEvaluator`) and records the achieved protected fraction in
 
     def _verify(self, context: SelectionContext, chosen: List[Node]) -> None:
         """Cross-check the sketch pick with an independent kernel race."""
+        from repro.algorithms.greedy import SigmaEstimator
         from repro.diffusion.doam import DOAMModel
         from repro.diffusion.opoao import OPOAOModel
-        from repro.kernels.sigma import BatchedSigmaEvaluator
 
         model = DOAMModel() if self.semantics == "doam" else OPOAOModel()
-        evaluator = BatchedSigmaEvaluator(
+        evaluator = SigmaEstimator(
             context,
             model=model,
             runs=self.verify_runs,

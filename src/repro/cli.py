@@ -112,8 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="N",
             help="fan work out over N processes (0 = one per CPU); results "
-            "are bit-identical to serial. greedy needs --backend for its "
-            "batched sigma path",
+            "are bit-identical to serial",
         )
         p.add_argument(
             "--chunk-timeout",
@@ -742,11 +741,10 @@ def _bench_sigma(args, context, model, rng: RngStream) -> int:
     exactly the work greedy/CELF spend their time on. Compare
     ``--backend python`` against ``--backend numpy`` for the speedup.
     """
-    from repro.algorithms.greedy import candidate_pool
-    from repro.kernels import BatchedSigmaEvaluator
+    from repro.algorithms.greedy import SigmaEstimator, candidate_pool
     from repro.obs.timers import Timer
 
-    evaluator = BatchedSigmaEvaluator(
+    evaluator = SigmaEstimator(
         context,
         model=model,
         runs=args.runs,
@@ -771,7 +769,7 @@ def _bench_sigma(args, context, model, rng: RngStream) -> int:
     worlds = evaluations * evaluator.runs
     print(
         f"sigma[{model.name}] on {args.dataset} (scale={args.scale}) via "
-        f"backend={evaluator.backend.name}: {evaluations} evaluations x "
+        f"backend={evaluator.backend}: {evaluations} evaluations x "
         f"{evaluator.runs} worlds in {timer.elapsed:.3f}s = "
         f"{rate:.2f} sigma/s ({worlds / max(timer.elapsed, 1e-9):.1f} worlds/s)"
     )

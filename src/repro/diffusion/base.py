@@ -237,11 +237,6 @@ class DiffusionOutcome:
         """Ids of nodes taken by any positive campaign."""
         return [node for node, state in enumerate(self.states) if state >= PROTECTED]
 
-    def cascade_ids(self, cascade: int) -> List[int]:
-        """Ids of the nodes cascade ``cascade`` activated."""
-        wanted = cascade + 1
-        return [node for node, state in enumerate(self.states) if state == wanted]
-
     def state_of(self, node_id: int) -> int:
         """Final state of one node."""
         return self.states[node_id]

@@ -1,33 +1,44 @@
-"""Monte-Carlo simulation harness.
+"""Replica racing and the Monte-Carlo simulation harness.
 
 The paper's OPOAO figures report "the average results obtained by repeated
-Monte Carlo simulation" (Section VI.B.2). :class:`MonteCarloSimulator`
-runs a diffusion model over many independent replica streams and
-aggregates per-hop infected/protected counts into a
-:class:`SimulationAggregate`; deterministic models (DOAM) short-circuit to
-a single run.
+Monte Carlo simulation" (Section VI.B.2), and Algorithm 1's σ(A) is an
+average over paired realisations (Theorem 1). :class:`Replicas` is the
+library's one replica engine, behind both: replica ``i`` runs the model
+on ``RngStream(seed).replica(i)``, or with a kernel ``backend`` races
+the world :func:`~repro.kernels.worlds.sample_worlds` draws for ``i``
+(the same world in any batch, on any backend). Either way one
+:meth:`Replicas.race` returns a
+:class:`~repro.kernels.base.BatchOutcome`, so no consumer branches on
+the engine.
 
-It is the library's one replica runner, two engines on one replica loop
-(:func:`~repro.exec.checkpoint.run_replicas`): replica ``i`` runs the
-model on ``rng.replica(i)``, or with a kernel ``backend`` races the
-world :func:`~repro.kernels.worlds.sample_worlds` draws for ``i`` (the
-same world in any chunk, on any backend). Either way it comes back as a
-compact :class:`ReplicaRecord`, whichever process runs it, and the
+:class:`MonteCarloSimulator` races replicas on one replica loop
+(:func:`~repro.exec.checkpoint.run_replicas`) and reduces each to a
+compact :class:`ReplicaRecord`, whichever process runs it; the
 aggregate folds the records **in replica order**. So a run over a
 :class:`~repro.exec.pool.ParallelExecutor`, a serial run, and a run
 resumed from a checkpoint are bit-identical (same means, same Welford
 variance; tested in ``tests/diffusion/test_parallel.py``).
+Deterministic models (DOAM) race a single replica.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.diffusion.base import (
     DEFAULT_MAX_HOPS,
     INFECTED,
     PROTECTED,
+    CascadeSet,
     DiffusionModel,
     SeedSets,
 )
@@ -39,12 +50,96 @@ from repro.rng import PICK_RULE_VERSION, RngStream, derive_seed
 from repro.utils.stats import RunningStats
 from repro.utils.validation import check_positive
 
+if TYPE_CHECKING:
+    from repro.kernels.base import BatchOutcome
+
 __all__ = [
     "MonteCarloSimulator",
     "ReplicaRecord",
+    "Replicas",
     "SimulationAggregate",
-    "record_outcome",
 ]
+
+
+class Replicas:
+    """The replicas ``indices`` of one model on one graph, raced as a batch.
+
+    Args:
+        graph: indexed graph.
+        model: any :class:`~repro.diffusion.base.DiffusionModel`; a
+            deterministic one has one replica, the first index.
+        indices: replica indices, in order.
+        max_hops: horizon per replica.
+        seed: base seed. ``None`` is only for a deterministic model.
+        backend: ``None`` runs ``model.run`` per replica on
+            ``RngStream(seed).replica(i)``; a kernel backend name
+            (``"python"``/``"numpy"``/``"auto"``) races the worlds
+            :func:`~repro.kernels.worlds.sample_worlds` draws under
+            ``derive_seed(seed, tag)``, sampled on the first
+            :meth:`race` and replayed by every later one. The name and
+            the model's kernel spec resolve here, so a missing backend
+            or an unsupported model raises in the caller.
+        tag: the label that keys the kernel worlds; each caller fixes
+            its own, so it keeps racing the worlds it always has.
+    """
+
+    def __init__(
+        self,
+        graph: IndexedDiGraph,
+        model: DiffusionModel,
+        indices: Iterable[int],
+        max_hops: int,
+        seed: Optional[int],
+        backend: Optional[str] = None,
+        tag: str = "worlds",
+    ) -> None:
+        self.graph = graph
+        self.model = model
+        self.indices = list(indices) if model.stochastic else list(indices)[:1]
+        self.max_hops = max_hops
+        self.seed = seed
+        self.tag = tag
+        self.backend = None
+        self._worlds = None
+        if backend is not None:
+            from repro.kernels.registry import resolve_backend
+            from repro.kernels.spec import spec_for_model
+
+            self.backend = resolve_backend(backend)
+            self._spec = spec_for_model(model)
+
+    def race(self, seeds: CascadeSet) -> "BatchOutcome":
+        """Race every replica under one seed configuration."""
+        if self.backend is None:
+            return self._run_each(seeds)
+        if self._worlds is None:
+            from repro.kernels.worlds import sample_worlds
+
+            self._worlds = sample_worlds(
+                self.graph, self._spec, self.indices, self.max_hops,
+                derive_seed(self.seed or 0, self.tag),
+            )
+        return self.backend.run_worlds(
+            self.graph, self._spec, self._worlds, seeds, self.max_hops
+        )
+
+    def _run_each(self, seeds: CascadeSet) -> "BatchOutcome":
+        from repro.kernels.base import BatchOutcome
+
+        base = RngStream(self.seed) if self.model.stochastic else None
+        rows, series = [], []
+        for index in self.indices:
+            outcome = self.model.run(
+                self.graph,
+                seeds,
+                rng=None if base is None else base.replica(index),
+                max_hops=self.max_hops,
+            )
+            rows.append(outcome.states)
+            series.append(outcome.trace.series)
+        return BatchOutcome.from_runs(
+            self.model.name, self.graph.node_count, rows, series
+        )
 
 
 class ReplicaRecord(NamedTuple):
@@ -77,18 +172,6 @@ def _end_counts(states, end_ids: Sequence[int]) -> Tuple[int, int, int]:
         else:
             untouched += 1
     return infected, protected, untouched
-
-
-def record_outcome(outcome, max_hops: int, end_ids: Sequence[int]) -> ReplicaRecord:
-    """Reduce one diffusion outcome to its :class:`ReplicaRecord`."""
-    trace = outcome.trace
-    return ReplicaRecord(
-        tuple(trace.infected_at(hop) for hop in range(max_hops + 1)),
-        tuple(trace.protected_at(hop) for hop in range(max_hops + 1)),
-        outcome.infected_count,
-        outcome.protected_count,
-        _end_counts(outcome.states, end_ids),
-    )
 
 
 class SimulationAggregate:
@@ -162,54 +245,17 @@ class SimulationAggregate:
 
 
 def _simulate_setup(graph, payload):
-    """Replica-run state shared by every chunk (pool worker or in-process).
-
-    The kernel engine's imports stay in here, so the zero-dependency
-    per-replica engine never touches the kernels package.
-    """
-    state = dict(payload, graph=graph)
-    if payload["backend"] is None:
-        seed = payload["seed"]
-        state["base"] = None if seed is None else RngStream(seed, name="mc-replicas")
-    else:
-        from repro.kernels.registry import resolve_backend
-        from repro.kernels.spec import spec_for_model
-
-        state["backend"] = resolve_backend(payload["backend"])
-        state["spec"] = spec_for_model(payload["model"])
-    return state
+    """Replica-run state shared by every chunk (pool worker or in-process)."""
+    return dict(payload, graph=graph)
 
 
 def _simulate_chunk(state, replica_indices) -> List[ReplicaRecord]:
-    """Run a chunk of replicas on their index streams."""
-    model: DiffusionModel = state["model"]
-    base = state["base"]
-    records = []
-    for replica_index in replica_indices:
-        outcome = model.run(
-            state["graph"],
-            state["seeds"],
-            rng=None if base is None else base.replica(replica_index),
-            max_hops=state["max_hops"],
-        )
-        records.append(record_outcome(outcome, state["max_hops"], state["end_ids"]))
-    registry = metrics()
-    if registry.enabled:
-        registry.counter("sim.worlds").add(len(replica_indices))
-    return records
-
-
-def _kernel_chunk(state, replica_indices) -> List[ReplicaRecord]:
-    """Race a chunk of replicas' worlds in one batched kernel call."""
-    from repro.kernels.worlds import sample_worlds
-
-    graph, max_hops = state["graph"], state["max_hops"]
-    worlds = sample_worlds(
-        graph, state["spec"], replica_indices, max_hops, state["seed"]
-    )
-    outcome = state["backend"].run_worlds(
-        graph, state["spec"], worlds, state["seeds"], max_hops
-    )
+    """Race a chunk of replicas and reduce each to its record."""
+    max_hops, end_ids = state["max_hops"], state["end_ids"]
+    outcome = Replicas(
+        state["graph"], state["model"], replica_indices, max_hops,
+        state["seed"], backend=state["backend"], tag="mc-worlds",
+    ).race(state["seeds"])
     hops = range(max_hops + 1)
     records = [
         ReplicaRecord(
@@ -217,7 +263,7 @@ def _kernel_chunk(state, replica_indices) -> List[ReplicaRecord]:
             tuple(outcome.protected_at(world, hop) for hop in hops),
             outcome.final_infected(world),
             outcome.final_protected(world),
-            _end_counts(outcome.states[world], state["end_ids"]),
+            _end_counts(outcome.states[world], end_ids),
         )
         for world in range(outcome.batch)
     ]
@@ -235,11 +281,9 @@ class MonteCarloSimulator:
         runs: replica count for stochastic models; deterministic models
             always run once.
         max_hops: horizon for every run (paper default: 31).
-        backend: ``None`` runs the model per replica (the reference
-            engine); a kernel backend name (``"python"``/``"numpy"``/
-            ``"auto"``) races each chunk of replicas in one batched
-            kernel call instead, on worlds every backend draws alike.
-            The model must be reducible to a kernel spec.
+        backend: the :class:`Replicas` engine: ``None`` runs the model
+            per replica, a kernel backend name races each chunk of
+            replicas' worlds in one batched call.
         executor: the :class:`~repro.exec.pool.ParallelExecutor` whose
             warm pool runs the replicas (either engine); ``None`` runs
             them serially in-process.
@@ -248,9 +292,6 @@ class MonteCarloSimulator:
             saved under kind ``"mc"`` and a matching saved prefix
             resumes bit-identically (either engine). Ignored for a
             deterministic model.
-
-    Example:
-        >>> # doctest setup omitted; see tests/diffusion/test_simulation.py
     """
 
     def __init__(
@@ -281,10 +322,9 @@ class MonteCarloSimulator:
         Args:
             graph: indexed graph.
             seeds: seed sets (node ids).
-            rng: base stream; replica ``i`` runs on ``rng.replica(i)``
-                (the kernel engine: on the world its seed and ``i``
-                key), so results are independent of iteration order.
-                Required for stochastic models.
+            rng: base stream, required for stochastic models; replica
+                ``i`` is a pure function of its seed and ``i`` (see
+                :class:`Replicas`), whatever the iteration order.
             end_ids: bridge ends whose final states every record
                 classifies (``ReplicaRecord.end_counts``).
 
@@ -299,25 +339,22 @@ class MonteCarloSimulator:
         payload = {
             "model": self.model,
             "seeds": seeds,
-            "seed": rng.seed if stochastic and rng is not None else None,
+            "seed": rng.seed if stochastic else None,
             "backend": None,
             "max_hops": self.max_hops,
             "end_ids": end_ids,
         }
-        chunk = _simulate_chunk
         if self.backend is not None:
             from repro.kernels.registry import resolve_backend
 
-            chunk = _kernel_chunk
             payload["backend"] = resolve_backend(self.backend).name
-            payload["seed"] = derive_seed(payload["seed"] or 0, "mc-worlds")
         if self._executor is None:
-            run_range = partial(chunk, _simulate_setup(graph, payload))
+            run_range = partial(_simulate_chunk, _simulate_setup(graph, payload))
         else:
             run_range = partial(
                 self._executor.map_items,
                 _simulate_setup,
-                chunk,
+                _simulate_chunk,
                 payload,
                 graph=graph,
             )

@@ -273,24 +273,6 @@ class DiGraph:
 
         return IndexedDiGraph.from_digraph(self)
 
-    def nodes_view(self) -> "NodeView":
-        """Live set-like view of the nodes (see :mod:`repro.graph.views`)."""
-        from repro.graph.views import NodeView
-
-        return NodeView(self)
-
-    def edges_view(self) -> "EdgeView":
-        """Live set-like view of the directed edges."""
-        from repro.graph.views import EdgeView
-
-        return EdgeView(self)
-
-    def degree_view(self, direction: str = "out") -> "DegreeView":
-        """Live mapping view ``node -> degree``."""
-        from repro.graph.views import DegreeView
-
-        return DegreeView(self, direction)
-
     def to_undirected_weights(self) -> Dict[Node, Dict[Node, float]]:
         """Symmetrised weighted adjacency (for modularity / Louvain).
 

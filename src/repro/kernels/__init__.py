@@ -15,8 +15,8 @@ Public API:
   on every backend.
 * :class:`~repro.kernels.base.KernelBackend` /
   :class:`~repro.kernels.base.BatchOutcome` — the engine contract.
-* :class:`~repro.kernels.sigma.BatchedSigmaEvaluator` — kernel-backed
-  σ(A) estimation for the greedy/CELF selectors.
+* :class:`~repro.kernels.sigma.BatchedSigmaEvaluator` — the old name of
+  :class:`~repro.algorithms.greedy.SigmaEstimator` (the same class).
 
 See ``docs/kernels.md`` for backend selection and the bit-identity
 guarantee.

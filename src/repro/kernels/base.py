@@ -19,7 +19,7 @@ same worlds.
 from __future__ import annotations
 
 import abc
-from typing import FrozenSet, Iterable, List, Optional, Sequence
+from typing import FrozenSet, Iterable, List, Sequence
 
 from repro.diffusion.base import (
     DEFAULT_MAX_HOPS,
@@ -36,10 +36,14 @@ __all__ = ["BatchOutcome", "KernelBackend"]
 
 
 class BatchOutcome:
-    """Final states and per-hop series of a batched kernel run.
+    """Final states and per-hop series of a batch of replicas.
+
+    A kernel backend returns one per call, and so does the per-run
+    engine of :class:`~repro.diffusion.simulation.Replicas`, through
+    :meth:`from_runs`.
 
     Attributes:
-        kind: model kind that produced the batch.
+        kind: model kind (or per-run model name) that produced the batch.
         batch: number of worlds.
         node_count: nodes per world.
         states: per-world final node states; ``states[b][v]`` is INACTIVE
@@ -71,20 +75,12 @@ class BatchOutcome:
         kind: str,
         node_count: int,
         states: Sequence[Sequence[int]],
-        infected_hops: Optional[Sequence[Sequence[int]]] = None,
-        protected_hops: Optional[Sequence[Sequence[int]]] = None,
-        cascade_hops: Optional[Sequence[Sequence[Sequence[int]]]] = None,
+        cascade_hops: Sequence[Sequence[Sequence[int]]],
     ) -> None:
         self.kind = kind
         self.node_count = int(node_count)
         self.states = states
         self.batch = len(states)
-        if cascade_hops is None:
-            if infected_hops is None or protected_hops is None:
-                raise ValueError(
-                    "BatchOutcome needs cascade_hops or both two-cascade planes"
-                )
-            cascade_hops = (infected_hops, protected_hops)
         self.cascade_hops = list(cascade_hops)
         self.infected_hops = self.cascade_hops[0]
         if len(self.cascade_hops) == 2:
@@ -101,6 +97,32 @@ class BatchOutcome:
                 ]
                 for hop in range(len(self.cascade_hops[0]))
             ]
+
+    @classmethod
+    def from_runs(
+        cls,
+        kind: str,
+        node_count: int,
+        rows: Sequence[Sequence[int]],
+        series: Sequence[Sequence[Sequence[int]]],
+    ) -> "BatchOutcome":
+        """One batch from per-run state rows and cumulative count series.
+
+        ``series[run]`` is that run's ``HopTrace.series`` (``[cascade][hop]``);
+        callers pass it rather than the trace, so a batch never holds the
+        traces' per-hop node lists. The planes are hop-major and a short
+        run is padded with its final (frozen) counts: the shape the
+        vectorized backend produces natively.
+        """
+        length = max(len(run[0]) for run in series)
+        planes = [
+            [
+                [run[cascade][min(hop, len(run[0]) - 1)] for run in series]
+                for hop in range(length)
+            ]
+            for cascade in range(len(series[0]))
+        ]
+        return cls(kind, node_count, rows, cascade_hops=planes)
 
     @property
     def hops(self) -> int:
@@ -123,18 +145,9 @@ class BatchOutcome:
         """World ``world``'s final protected count."""
         return int(self.protected_hops[-1][world])
 
-    def cascade_at(self, world: int, cascade: int, hop: int) -> int:
-        """World ``world``'s cumulative cascade-``cascade`` count at ``hop``."""
-        plane = self.cascade_hops[cascade]
-        return int(plane[min(hop, len(plane) - 1)][world])
-
     def final_cascade(self, world: int, cascade: int) -> int:
         """World ``world``'s final cascade-``cascade`` count."""
         return int(self.cascade_hops[cascade][-1][world])
-
-    def state_of(self, world: int, node_id: int) -> int:
-        """Final state of one node in one world, as a plain int."""
-        return int(self.states[world][node_id])
 
     def infected_members(
         self, world: int, node_ids: Iterable[int]
@@ -142,14 +155,6 @@ class BatchOutcome:
         """Which of ``node_ids`` ended INFECTED in ``world``."""
         row = self.states[world]
         return frozenset(node for node in node_ids if int(row[node]) == INFECTED)
-
-    def cascade_members(
-        self, world: int, cascade: int, node_ids: Iterable[int]
-    ) -> FrozenSet[int]:
-        """Which of ``node_ids`` cascade ``cascade`` claimed in ``world``."""
-        row = self.states[world]
-        wanted = cascade + 1
-        return frozenset(node for node in node_ids if int(row[node]) == wanted)
 
     def states_row(self, world: int) -> List[int]:
         """One world's final states as a plain list of ints."""

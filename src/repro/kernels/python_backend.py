@@ -16,7 +16,6 @@ from repro.diffusion.base import CascadeSet, seeded_start
 from repro.diffusion.doam import bfs_race
 from repro.diffusion.lt import threshold_race
 from repro.diffusion.opoao import opoao_race
-from repro.diffusion.trace import HopTrace
 from repro.graph.compact import IndexedDiGraph
 from repro.kernels.base import BatchOutcome, KernelBackend
 from repro.kernels.spec import KernelSpec
@@ -39,7 +38,7 @@ class PythonKernelBackend(KernelBackend):
         max_hops: int,
     ) -> BatchOutcome:
         rows: List[List[int]] = []
-        traces: List[HopTrace] = []
+        series: List[List[List[int]]] = []
         for world in range(worlds.batch):
             states, trace = seeded_start(graph.node_count, seeds)
             if spec.kind == "doam":
@@ -54,18 +53,8 @@ class PythonKernelBackend(KernelBackend):
                 picks = _picker(graph, _rows(worlds, "picks")[world])
                 opoao_race(graph, states, seeds, trace, max_hops, picks)
             rows.append(states)
-            traces.append(trace)
-        # Hop-major series, short worlds padded with their final (frozen)
-        # counts: the shape the vectorized backend produces natively.
-        length = max(trace.hops for trace in traces)
-        planes = [
-            [
-                [trace.cascade_at(cascade, hop) for trace in traces]
-                for hop in range(length)
-            ]
-            for cascade in range(seeds.cascade_count)
-        ]
-        return BatchOutcome(spec.kind, graph.node_count, rows, cascade_hops=planes)
+            series.append(trace.series)
+        return BatchOutcome.from_runs(spec.kind, graph.node_count, rows, series)
 
 
 def _rows(worlds: WorldBatch, key: str):

@@ -40,11 +40,6 @@ class KernelSpec:
         self.kind = kind
         self.probability = probability
 
-    @property
-    def stochastic(self) -> bool:
-        """Whether the semantics consume a sampled world (DOAM does not)."""
-        return self.kind != "doam"
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, KernelSpec)

@@ -44,7 +44,7 @@ from repro.diffusion.base import (
     DiffusionModel,
     SeedSets,
 )
-from repro.diffusion.simulation import MonteCarloSimulator
+from repro.diffusion.simulation import MonteCarloSimulator, Replicas
 from repro.errors import SeedError, ValidationError
 from repro.exec.checkpoint import run_key, run_replicas
 from repro.graph.compact import IndexedDiGraph
@@ -578,19 +578,21 @@ class ImpressionScenario:
         stochastic = self.model.stochastic
 
         def run_range(indices: List[int]) -> List[Tuple[int, ...]]:
-            rows = []  # (dominated, *cascade_counts) per replica
-            for replica in indices:
-                outcome = self.model.run(
-                    indexed,
-                    seeds,
-                    rng=rng.replica(replica) if stochastic else None,
-                    max_hops=self.max_hops,
+            # (dominated, *cascade_counts) per replica
+            outcome = Replicas(
+                indexed, self.model, indices, self.max_hops, rng.seed
+            ).race(seeds)
+            cascades = range(seeds.cascade_count)
+            return [
+                (
+                    dominated_count(
+                        indexed, outcome.states[world], self.weights,
+                        self.threshold,
+                    ),
+                    *(outcome.final_cascade(world, cascade) for cascade in cascades),
                 )
-                dominated = dominated_count(
-                    indexed, outcome.states, self.weights, self.threshold
-                )
-                rows.append((dominated, *outcome.cascade_counts()))
-            return rows
+                for world in range(outcome.batch)
+            ]
 
         rows = run_replicas(
             run_range,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.diffusion.base import INFECTED, PROTECTED, SeedSets
+from repro.diffusion.base import INACTIVE, INFECTED, PROTECTED, SeedSets
 from repro.diffusion.doam import DOAMModel
 from repro.diffusion.ic import CompetitiveICModel
 from repro.diffusion.lt import CompetitiveLTModel
@@ -11,7 +11,6 @@ from repro.diffusion.simulation import (
     MonteCarloSimulator,
     ReplicaRecord,
     SimulationAggregate,
-    record_outcome,
 )
 from repro.exec.pool import ParallelExecutor
 from repro.graph.digraph import DiGraph
@@ -25,6 +24,24 @@ from repro.utils.stats import RunningStats
 @pytest.fixture
 def star():
     return DiGraph.from_edges([(0, i) for i in range(1, 10)])
+
+
+def expected_record(outcome, max_hops, end_ids):
+    """The record of one direct ``DiffusionModel.run`` outcome, built here
+    from its trace and states, independently of the simulator's engine."""
+    trace, states = outcome.trace, outcome.states
+    ends = [states[end] for end in end_ids]
+    return ReplicaRecord(
+        tuple(trace.infected_at(hop) for hop in range(max_hops + 1)),
+        tuple(trace.protected_at(hop) for hop in range(max_hops + 1)),
+        outcome.infected_count,
+        outcome.protected_count,
+        (
+            ends.count(INFECTED),
+            sum(1 for state in ends if state >= PROTECTED),
+            ends.count(INACTIVE),
+        ),
+    )
 
 
 class TestEquivalenceWithSerial:
@@ -111,7 +128,7 @@ class TestSimulateDetailed:
         expected = []
         for replica in range(9):
             outcome = model.run(indexed, seeds, rng=RngStream(8).replica(replica), max_hops=6)
-            expected.append(record_outcome(outcome, 6, end_ids))
+            expected.append(expected_record(outcome, 6, end_ids))
         with ParallelExecutor(3) as executor:
             records = MonteCarloSimulator(
                 model, runs=9, max_hops=6, executor=executor
@@ -130,11 +147,13 @@ class TestSimulateDetailed:
 
     def test_record_outcome_classifies_ends(self, chain):
         indexed = chain.to_indexed()
-        outcome = DOAMModel().run(
-            indexed, SeedSets(rumors=[0], protectors=[3]), max_hops=31
-        )
-        record = record_outcome(outcome, 31, (2, 4, 5))
+        seeds = SeedSets(rumors=[0], protectors=[3])
+        outcome = DOAMModel().run(indexed, seeds, max_hops=31)
+        (record,) = MonteCarloSimulator(DOAMModel(), max_hops=31).simulate(
+            indexed, seeds, end_ids=(2, 4, 5)
+        ).records
         assert isinstance(record, ReplicaRecord)
+        assert record == expected_record(outcome, 31, (2, 4, 5))
         assert outcome.states[2] == INFECTED
         assert outcome.states[4] == PROTECTED
         assert record.end_counts == (1, 2, 0)
@@ -211,7 +230,7 @@ class TestAggregateAddSeries:
             outcome = model.run(
                 indexed, seeds, rng=RngStream(11).replica(replica), max_hops=5
             )
-            aggregate.add(record_outcome(outcome, 5, ()))
+            aggregate.add(expected_record(outcome, 5, ()))
             at_hop_two.add(outcome.trace.infected_at(2))
             finals.add(outcome.infected_count)
         assert aggregate.runs == 6

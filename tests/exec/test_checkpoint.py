@@ -472,19 +472,19 @@ class TestKernelMonteCarloResume:
         path = tmp_path / "run.ckpt"
         uninterrupted = self.run(graph, model)
         batches = []
-        kernel_chunk = simulation._kernel_chunk
+        chunk = simulation._simulate_chunk
 
         def fails_after_one_batch(state, indices):
             batches.append(list(indices))
             if len(batches) == 2:
                 raise RuntimeError("worker lost")
-            return kernel_chunk(state, indices)
+            return chunk(state, indices)
 
-        monkeypatch.setattr(simulation, "_kernel_chunk", fails_after_one_batch)
+        monkeypatch.setattr(simulation, "_simulate_chunk", fails_after_one_batch)
         with pytest.raises(RuntimeError):
             self.run(graph, model, checkpoint=path)
         assert batches == [[0, 1, 2, 3], [4, 5, 6, 7]]
-        monkeypatch.setattr(simulation, "_kernel_chunk", kernel_chunk)
+        monkeypatch.setattr(simulation, "_simulate_chunk", chunk)
         registry = MetricsRegistry()
         with use_registry(registry):
             resumed = self.run(graph, model, checkpoint=path)

@@ -128,13 +128,11 @@ class TestSpecForModel:
     def test_doam(self):
         spec = spec_for_model(DOAMModel())
         assert spec == KernelSpec("doam")
-        assert not spec.stochastic
 
     def test_ic_carries_probability(self):
         spec = spec_for_model(CompetitiveICModel(probability=0.25))
         assert spec.kind == "ic"
         assert spec.probability == 0.25
-        assert spec.stochastic
 
     def test_lt(self):
         assert spec_for_model(CompetitiveLTModel()) == KernelSpec("lt")

@@ -1,5 +1,5 @@
 """Property-based tests for structural helpers added late in the build:
-views, k-core, arrival analysis, and community metrics."""
+k-core, arrival analysis, and community metrics."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,20 +26,6 @@ def small_digraphs(draw):
         if tail != head:
             graph.add_edge(tail, head)
     return graph
-
-
-class TestViewInvariants:
-    @given(small_digraphs())
-    @settings(max_examples=50, deadline=None)
-    def test_views_agree_with_direct_queries(self, graph):
-        nodes = graph.nodes_view()
-        edges = graph.edges_view()
-        assert len(nodes) == graph.node_count
-        assert len(edges) == graph.edge_count
-        assert set(nodes) == set(graph.nodes())
-        assert set(edges) == set(graph.edges())
-        degrees = graph.degree_view("out")
-        assert sum(degrees[n] for n in degrees) == graph.edge_count
 
 
 class TestKCoreInvariants:

@@ -347,6 +347,32 @@ class TestMetricsOut:
         assert counters["sim.runs"] == 3
         assert counters["sim.edge_visits"] > 0
 
+    def test_bench_sigma_through_a_backend(self, tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        code = main(
+            [
+                "bench",
+                "--dataset",
+                "enron-small",
+                "--scale",
+                "0.02",
+                "--backend",
+                "python",
+                "--runs",
+                "4",
+                "--candidates",
+                "3",
+                "--metrics-out",
+                str(path),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "sigma[OPOAO] on enron-small (scale=0.02) via backend=python: " in out
+        assert "3 evaluations x 4 worlds" in out
+        counters = json.loads(path.read_text())["counters"]
+        assert counters["selector.sigma_evaluations"] == 3
+
     def test_metrics_off_by_default(self, capsys):
         from repro.obs import NULL_REGISTRY, metrics
 
